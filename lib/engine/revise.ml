@@ -102,18 +102,22 @@ let multiset_diff rows seed =
     rows seed
 
 (* the evaluation environment for each revision class: the seed alone,
-   the base relation reordered seed-first, or the environment as-is *)
+   the base relation reordered seed-first, or the environment as-is
+   (also whenever there is no seed) *)
 let revision_env env ~table ~seed kind =
-  match kind with
-  | Same | Prior_suffix -> (rebind env table seed, "refine:seed")
-  | Pareto_extend -> (
+  match (seed, kind) with
+  | Some seed, Same -> (rebind env table seed, "refine:same")
+  | Some seed, Prior_suffix -> (rebind env table seed, "refine:seed")
+  | Some seed, Pareto_extend -> (
     match Exec.find_table env table with
     | Some base ->
       let rest = multiset_diff (Relation.rows base) (Relation.rows seed) in
       let hot = Relation.make (Relation.schema base) (Relation.rows seed @ rest) in
       (rebind env table hot, "refine:hot")
     | None -> (env, "cold"))
-  | Contraction | Disjoint -> (env, "cold")
+  | _ -> (env, "cold")
+
+let seed_rows seed = Option.fold ~none:0 ~some:Relation.cardinality seed
 
 let prefs ?registry ~old_q new_q =
   match
@@ -129,13 +133,12 @@ let execute ?registry ~deadline cfg env ~table ~seed ~old_q new_q =
     | None -> Disjoint
   in
   let env', plan = revision_env env ~table ~seed kind in
-  let plan = if kind = Same then "refine:same" else plan in
   let r = Exec.run_query_within ?registry ~deadline cfg env' new_q in
   {
     o_result = r;
     o_kind = kind;
     o_plan = plan;
-    o_seed_rows = Relation.cardinality seed;
+    o_seed_rows = seed_rows seed;
   }
 
 let explain ?registry ~deadline cfg env ~table ~seed ~old_q ~query_text new_q =
@@ -147,8 +150,7 @@ let explain ?registry ~deadline cfg env ~table ~seed ~old_q ~query_text new_q =
     | None -> (Disjoint, 1)
   in
   let env', plan = revision_env env ~table ~seed kind in
-  let plan = if kind = Same then "refine:same" else plan in
-  let seed_rows = Relation.cardinality seed in
+  let seed_rows = seed_rows seed in
   let inner =
     Exec.explain_query_within ?registry ~analyze:false ~deadline cfg env'
       ~query_text new_q

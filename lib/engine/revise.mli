@@ -42,7 +42,7 @@ type outcome = {
   o_plan : string;
       (** the evaluation route: [refine:same], [refine:seed] (winnow of
           the seed only), [refine:hot] (seed-first base scan) or [cold] *)
-  o_seed_rows : int;  (** size of the seed BMO set *)
+  o_seed_rows : int;  (** size of the seed BMO set, 0 without one *)
 }
 
 val execute :
@@ -51,14 +51,14 @@ val execute :
   Pref_bmo.Engine.config ->
   Exec.env ->
   table:string ->
-  seed:Relation.t ->
+  seed:Relation.t option ->
   old_q:Ast.query ->
   Ast.query ->
   outcome
 (** Evaluate the revised query [new_q] against [env], seeding from
     [seed] = σ\[P\](table) of the previous statement [old_q] when the
-    classification allows it. Exact for every class — the class only
-    changes the cost. Raises whatever {!Exec.run_query_within} raises. *)
+    classification allows it; without a seed the route is [cold]. Exact
+    for every class — the class only changes the cost. Raises whatever {!Exec.run_query_within} raises. *)
 
 val explain :
   ?registry:Translate.registry ->
@@ -66,7 +66,7 @@ val explain :
   Pref_bmo.Engine.config ->
   Exec.env ->
   table:string ->
-  seed:Relation.t ->
+  seed:Relation.t option ->
   old_q:Ast.query ->
   query_text:string ->
   Ast.query ->

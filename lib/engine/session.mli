@@ -39,9 +39,10 @@ val id : t -> int
 val env : t -> Exec.env
 
 val set_env : t -> Exec.env -> unit
-(** Replace the whole table environment. Invalidates the revision seed
-    (the last statement's result was computed against the old tables);
-    the server uses this to propagate another connection's DML. *)
+(** Replace the whole table environment. Drops the revision seed (the
+    last statement's result was computed against the old tables) but
+    keeps the statement, so the next {!refine} runs cold; the server uses
+    this to propagate another connection's DML. *)
 
 val add_table : t -> string -> Relation.t -> unit
 (** Register (or replace) a table; names are stored lowercase, matching
@@ -112,7 +113,9 @@ val explain : t -> analyze:bool -> string -> Pref_bmo.Explain.Plan.t
     statement's preference in place: the new term is classified against
     the old one ({!Revise.classify}) and evaluated from the cached BMO
     seed when the class allows ({!Revise.execute}). Single-row DML
-    through {!insert}/{!delete} keeps the seed in sync. *)
+    through {!insert}/{!delete} keeps the seed in sync; a delete of a
+    seed row drops the seed but keeps the statement, so the next refine
+    runs cold. *)
 
 val refine_within :
   t -> deadline:Pref_bmo.Engine.deadline -> string -> Revise.outcome

@@ -1,6 +1,7 @@
 open Pref_sql
 module Client = Pref_server.Client
 module Protocol = Pref_server.Protocol
+module Frame_server = Pref_server.Frame_server
 module Relation = Pref_relation.Relation
 module Tuple = Pref_relation.Tuple
 
@@ -31,18 +32,6 @@ let default_config =
     session_config = { Pref_bmo.Engine.default with check = false };
   }
 
-(* router.* metrics — mirrors of the always-on atomic counters, fed when
-   telemetry is globally enabled *)
-let m_queries = Pref_obs.Metrics.counter "router.queries"
-let m_scatter = Pref_obs.Metrics.counter "router.scatter"
-let m_proxied = Pref_obs.Metrics.counter "router.proxied"
-let m_merged = Pref_obs.Metrics.counter "router.merged"
-let m_merge_skipped = Pref_obs.Metrics.counter "router.merge_skipped"
-let m_partial = Pref_obs.Metrics.counter "router.partial"
-let m_shard_down = Pref_obs.Metrics.counter "router.shard_down"
-let m_errors = Pref_obs.Metrics.counter "router.errors"
-let m_deltas = Pref_obs.Metrics.counter "router.deltas"
-let g_conns = Pref_obs.Metrics.gauge "router.connections"
 let g_up = Pref_obs.Metrics.gauge "router.shards_up"
 let g_subs = Pref_obs.Metrics.gauge "router.subscriptions"
 
@@ -50,44 +39,29 @@ type health = { mutable failures : int; mutable down_until : float }
 
 type t = {
   cfg : config;
+  fs : Frame_server.t;
   registry : Translate.registry;
   backends : backend array;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
   health : health array;
   health_m : Mutex.t;
-  m : Mutex.t;
-  mutable draining : bool;
-  mutable drain_started : bool;
-  mutable stopped : bool;
-  stopped_c : Condition.t;
-  stop_requested : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  conns_m : Mutex.t;
-  mutable conns : (int * Unix.file_descr) list;
-  mutable conn_threads : (int * Thread.t) list;
   rr : int Atomic.t;  (* round-robin cursor for proxied requests *)
   (* table schemas learned from shard replies, for DML row placement *)
   schemas_m : Mutex.t;
   schemas : (string, Pref_relation.Schema.t) Hashtbl.t;
-  (* always-on counters (STATS must work with telemetry off) *)
-  c_accepted : int Atomic.t;
-  c_conn_rejected : int Atomic.t;
-  c_queries : int Atomic.t;
-  c_scatter : int Atomic.t;
-  c_proxied : int Atomic.t;
-  c_merged : int Atomic.t;
-  c_merge_skipped : int Atomic.t;
-  c_partial : int Atomic.t;
-  c_shard_down : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_subscriptions : int Atomic.t;  (* currently active routed subscriptions *)
-  c_deltas : int Atomic.t;
-  c_next_id : int Atomic.t;
+  subscriptions : int Atomic.t;  (* currently active routed subscriptions *)
+  c_queries : Frame_server.counter;
+  c_scatter : Frame_server.counter;
+  c_proxied : Frame_server.counter;
+  c_merged : Frame_server.counter;
+  c_merge_skipped : Frame_server.counter;
+  c_partial : Frame_server.counter;
+  c_shard_down : Frame_server.counter;
+  c_errors : Frame_server.counter;
+  c_deltas : Frame_server.counter;
 }
 
-let port t = t.bound_port
-let draining t = Mutex.protect t.m (fun () -> t.draining)
+let port t = Frame_server.port t.fs
+let bump = Frame_server.bump
 let nshards t = Array.length t.backends
 
 (* ------------------------------------------------------------------ *)
@@ -246,6 +220,26 @@ let partition_outcomes results =
     results;
   (List.rev !oks, !fatal, List.rev !downs)
 
+(* ------------------------------------------------------------------ *)
+(* Error frames                                                        *)
+
+let err ?trace kind message =
+  Protocol.Err { kind; retriable = false; message; trace }
+
+let unavailable ?trace message =
+  Protocol.Err { kind = "unavailable"; retriable = true; message; trace }
+
+let all_down ?trace t msg =
+  unavailable ?trace
+    (Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t) msg)
+
+let first_down downs = match downs with (_, m) :: _ -> m | [] -> "no backends"
+
+(* count an error answer *)
+let failed t resp =
+  bump t.c_errors;
+  resp
+
 (* Try shards round-robin until one answers; deterministic errors stop
    the failover — a parse error is a parse error on every replica. *)
 let proxy conn f =
@@ -255,21 +249,11 @@ let proxy conn f =
   let rec go k last =
     if k >= n then
       Error
-        (Protocol.Err
-           {
-             kind = "unavailable";
-             retriable = true;
-             message =
-               Printf.sprintf "all %d backend(s) unavailable (%s)" n last;
-             trace = None;
-           })
+        (unavailable (Printf.sprintf "all %d backend(s) unavailable (%s)" n last))
     else
       match with_shard conn ((start + k) mod n) f with
       | O_ok v -> Ok v
-      | O_fatal msg ->
-        Error
-          (Protocol.Err
-             { kind = "shard"; retriable = false; message = msg; trace = None })
+      | O_fatal msg -> Error (err "shard" msg)
       | O_down msg -> go (k + 1) msg
   in
   go 0 "no backends"
@@ -284,24 +268,6 @@ let child_trace trace i =
         Protocol.span_id = tr.Protocol.span_id ^ "." ^ string_of_int i;
       })
     trace
-
-(* ------------------------------------------------------------------ *)
-(* Errors                                                              *)
-
-let error_response ?trace e =
-  let err ?(retriable = false) kind message =
-    Protocol.Err { kind; retriable; message; trace }
-  in
-  match e with
-  | Parser.Error (msg, pos) ->
-    err "parse" (Printf.sprintf "syntax error at offset %d: %s" pos msg)
-  | Translate.Error msg -> err "translate" msg
-  | Exec.Unknown_table { name; hint } ->
-    err "exec" (Exec.unknown_table_message ~name ~hint)
-  | Exec.Error msg -> err "exec" msg
-  | Preferences.Pref.Ill_formed { code; message; _ } ->
-    err "pref" (Printf.sprintf "[%s] %s" code message)
-  | e -> err "internal" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* QUERY                                                               *)
@@ -325,59 +291,30 @@ let resolve_query conn sql =
 
 let scatter_query conn ?trace (d : Merge.decision) =
   let t = conn.router in
-  Atomic.incr t.c_scatter;
-  Pref_obs.Metrics.incr m_scatter;
+  bump t.c_scatter;
   let results =
     scatter conn (fun i client ->
         Client.query_reply ?trace:(child_trace trace i) client d.Merge.shard_sql)
   in
   let oks, fatal, downs = partition_outcomes results in
-  List.iter
-    (fun _ ->
-      Atomic.incr t.c_shard_down;
-      Pref_obs.Metrics.incr m_shard_down)
-    downs;
+  List.iter (fun _ -> bump t.c_shard_down) downs;
   match fatal with
-  | Some msg ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-  | None when oks = [] ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err
-      {
-        kind = "unavailable";
-        retriable = true;
-        message =
-          Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t)
-            (match downs with (_, m) :: _ -> m | [] -> "no backends");
-        trace;
-      }
+  | Some msg -> failed t (err ?trace "shard" msg)
+  | None when oks = [] -> failed t (all_down ?trace t (first_down downs))
   | None -> (
     let replies = List.map snd oks in
     match
       Merge.gather
         (List.map (fun r -> (r.Client.rel, r.Client.flags)) replies)
     with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "internal"; retriable = false; message = msg; trace }
+    | Error msg -> failed t (err ?trace "internal" msg)
     | Ok (union, shard_flags) -> (
       let deadline = Pref_bmo.Engine.deadline_of conn.config in
       match
         Merge.finish ~registry:t.registry ~config:conn.config ~deadline d union
       with
       | result ->
-        if d.Merge.merge_needed then begin
-          Atomic.incr t.c_merged;
-          Pref_obs.Metrics.incr m_merged
-        end
-        else begin
-          Atomic.incr t.c_merge_skipped;
-          Pref_obs.Metrics.incr m_merge_skipped
-        end;
+        bump (if d.Merge.merge_needed then t.c_merged else t.c_merge_skipped);
         let flags =
           Pref_bmo.Engine.union_flags shard_flags result.Exec.flags
         in
@@ -385,10 +322,7 @@ let scatter_query conn ?trace (d : Merge.decision) =
           { flags with Pref_bmo.Engine.partial =
               flags.Pref_bmo.Engine.partial || downs <> [] }
         in
-        if flags.Pref_bmo.Engine.partial then begin
-          Atomic.incr t.c_partial;
-          Pref_obs.Metrics.incr m_partial
-        end;
+        if flags.Pref_bmo.Engine.partial then bump t.c_partial;
         Protocol.Rows
           {
             relation = result.Exec.relation;
@@ -396,24 +330,17 @@ let scatter_query conn ?trace (d : Merge.decision) =
             served = Some (List.length oks, nshards t);
             trace;
           }
-      | exception e ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        error_response ?trace e))
+      | exception e -> failed t (Frame_server.error_response ?trace e)))
 
 let proxy_query conn ?trace q =
   let t = conn.router in
-  Atomic.incr t.c_proxied;
-  Pref_obs.Metrics.incr m_proxied;
+  bump t.c_proxied;
   let sql = Pretty.query_to_string q in
   match
     proxy conn (fun client -> Client.query_reply ?trace client sql)
   with
   | Ok reply ->
-    if reply.Client.flags.Pref_bmo.Engine.partial then begin
-      Atomic.incr t.c_partial;
-      Pref_obs.Metrics.incr m_partial
-    end;
+    if reply.Client.flags.Pref_bmo.Engine.partial then bump t.c_partial;
     Protocol.Rows
       {
         relation = reply.Client.rel;
@@ -421,10 +348,7 @@ let proxy_query conn ?trace q =
         served = None;
         trace;
       }
-  | Error (Protocol.Err e) ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err { e with trace }
+  | Error (Protocol.Err e) -> failed t (Protocol.Err { e with trace })
   | Error resp -> resp
 
 (* ------------------------------------------------------------------ *)
@@ -487,18 +411,8 @@ let scatter_explain conn ~analyze ~json ?trace (d : Merge.decision) =
   in
   let oks, fatal, downs = partition_outcomes results in
   match fatal with
-  | Some msg ->
-    Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-  | None when oks = [] ->
-    Protocol.Err
-      {
-        kind = "unavailable";
-        retriable = true;
-        message =
-          Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t)
-            (match downs with (_, m) :: _ -> m | [] -> "no backends");
-        trace;
-      }
+  | Some msg -> err ?trace "shard" msg
+  | None when oks = [] -> all_down ?trace t (first_down downs)
   | None ->
     let per_shard_ms = List.map (fun (_, text) -> chosen_ms text) oks in
     let merge_rows =
@@ -590,23 +504,23 @@ let scatter_explain conn ~analyze ~json ?trace (d : Merge.decision) =
     in
     Protocol.Explain_resp body
 
-let answer_explain conn ~analyze ~json ?trace sql =
+
+let explain conn ~analyze ~json trace sql =
   let t = conn.router in
-  match resolve_query conn sql with
-  | Error msg ->
-    Protocol.Err { kind = "parse"; retriable = false; message = msg; trace }
-  | Ok q -> (
-    match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-    | Error msg ->
-      Protocol.Err { kind = "exec"; retriable = false; message = msg; trace }
-    | Ok Merge.Proxy -> (
-      let sql = Pretty.query_to_string q in
-      match
-        proxy conn (fun client -> Client.explain ~analyze ~json ?trace client sql)
-      with
-      | Ok body -> Protocol.Explain_resp body
-      | Error resp -> resp)
-    | Ok (Merge.Scatter d) -> scatter_explain conn ~analyze ~json ?trace d)
+  Frame_server.Reply
+    (match resolve_query conn sql with
+    | Error msg -> err ?trace "parse" msg
+    | Ok q -> (
+      match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
+      | Error msg -> err ?trace "exec" msg
+      | Ok Merge.Proxy -> (
+        let sql = Pretty.query_to_string q in
+        match
+          proxy conn (fun client -> Client.explain ~analyze ~json ?trace client sql)
+        with
+        | Ok body -> Protocol.Explain_resp body
+        | Error resp -> resp)
+      | Ok (Merge.Scatter d) -> scatter_explain conn ~analyze ~json ?trace d))
 
 (* Static checks run once in the router, against an empty catalog (the
    rows live on the backends), before a statement is scattered N ways.
@@ -635,40 +549,24 @@ let answer_parsed conn ?trace q =
   let t = conn.router in
   let resp =
     match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "exec"; retriable = false; message = msg; trace }
+    | Error msg -> failed t (err ?trace "exec" msg)
     | Ok Merge.Proxy -> proxy_query conn ?trace q
     | Ok (Merge.Scatter d) -> (
       match pre_scatter_errors t q with
-      | Some msg ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        Protocol.Err { kind = "check"; retriable = false; message = msg; trace }
+      | Some msg -> failed t (err ?trace "check" msg)
       | None -> scatter_query conn ?trace d)
   in
   (match resp with
   | Protocol.Rows _ -> conn.last_q <- Some q
   | _ -> ());
-  resp
+  Frame_server.Reply resp
 
-let answer_query conn ?trace sql =
+let query conn trace sql =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
-  (* a QUERY whose statement starts with EXPLAIN answers with the plan,
-     matching the single-node server *)
-  match Parser.explain_prefix sql with
-  | Some (analyze, rest) ->
-    answer_explain conn ~analyze ~json:false ?trace rest
-  | None -> (
-    match resolve_query conn sql with
-    | Error msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.Err { kind = "parse"; retriable = false; message = msg; trace }
-    | Ok q -> answer_parsed conn ?trace q)
+  bump t.c_queries;
+  match resolve_query conn sql with
+  | Error msg -> Frame_server.Reply (failed t (err ?trace "parse" msg))
+  | Ok q -> answer_parsed conn ?trace q
 
 (* ------------------------------------------------------------------ *)
 (* REFINE: revise the connection's last statement and re-route it. The
@@ -676,29 +574,19 @@ let answer_query conn ?trace sql =
    the re-issued statement reaches them over the same channels, so the
    shard-local evaluations still profit from their caches. *)
 
-let answer_refine conn ?trace term =
+let refine conn trace term =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
+  bump t.c_queries;
   match conn.last_q with
   | None ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.Err
-      {
-        kind = "exec";
-        retriable = false;
-        message =
-          "no preceding preference query to refine (run SELECT ... PREFERRING \
-           ... first)";
-        trace;
-      }
+    Frame_server.Reply
+      (failed t
+         (err ?trace "exec"
+            "no preceding preference query to refine (run SELECT ... \
+             PREFERRING ... first)"))
   | Some q -> (
     match Parser.parse_pref term with
-    | exception e ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      error_response ?trace e
+    | exception e -> Frame_server.Reply (failed t (Frame_server.error_response ?trace e))
     | p -> answer_parsed conn ?trace { q with Ast.preferring = Some p; Ast.cascade = [] })
 
 (* ------------------------------------------------------------------ *)
@@ -735,25 +623,10 @@ let placement t scheme schema row =
   Array.iteri (fun i piece -> if Relation.cardinality piece > 0 then idx := i) pieces;
   !idx
 
-let shard_err ?trace msg =
-  Protocol.Err { kind = "shard"; retriable = false; message = msg; trace }
-
-let unavailable_err ?trace t msg =
-  Protocol.Err
-    {
-      kind = "unavailable";
-      retriable = true;
-      message = Printf.sprintf "all %d shard(s) unavailable (%s)" (nshards t) msg;
-      trace;
-    }
-
 let answer_dml conn ?trace op table row =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
   let table_lc = String.lowercase_ascii table in
-  let scheme = Shard_map.find t.cfg.shard_map table_lc in
-  match (op, scheme) with
+  match (op, Shard_map.find t.cfg.shard_map table_lc) with
   | Protocol.Dml_insert, (None | Some Shard_map.Replicated) -> (
     (* every backend holds a full copy: keep them all in step *)
     let results =
@@ -762,13 +635,8 @@ let answer_dml conn ?trace op table row =
     in
     let oks, fatal, downs = partition_outcomes results in
     match fatal with
-    | Some msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      shard_err ?trace msg
-    | None when oks = [] ->
-      unavailable_err ?trace t
-        (match downs with (_, m) :: _ -> m | [] -> "no backends")
+    | Some msg -> failed t (err ?trace "shard" msg)
+    | None when oks = [] -> all_down ?trace t (first_down downs)
     | None ->
       Protocol.Done
         (Printf.sprintf "inserted into %s on %d/%d backend(s)" table_lc
@@ -778,10 +646,7 @@ let answer_dml conn ?trace op table row =
     | Error resp -> resp
     | Ok schema -> (
       match Protocol.decode_rows schema [ row ] with
-      | Error msg | (exception Failure msg) ->
-        Atomic.incr t.c_errors;
-        Pref_obs.Metrics.incr m_errors;
-        Protocol.Err { kind = "proto"; retriable = false; message = msg; trace }
+      | Error msg | (exception Failure msg) -> failed t (err ?trace "proto" msg)
       | Ok [] -> assert false
       | Ok (tuple :: _) -> (
         let i = placement t scheme schema tuple in
@@ -790,20 +655,11 @@ let answer_dml conn ?trace op table row =
               Client.insert ?trace:(child_trace trace i) client ~table row)
         with
         | O_ok line -> Protocol.Done line
-        | O_fatal msg ->
-          Atomic.incr t.c_errors;
-          Pref_obs.Metrics.incr m_errors;
-          shard_err ?trace msg
+        | O_fatal msg -> failed t (err ?trace "shard" msg)
         | O_down msg ->
           (* the owning shard is fixed by placement: no failover *)
-          Protocol.Err
-            {
-              kind = "unavailable";
-              retriable = true;
-              message = Printf.sprintf "shard %d unavailable (%s)" i msg;
-              trace;
-            })))
-  | Protocol.Dml_delete, _ ->
+          unavailable ?trace (Printf.sprintf "shard %d unavailable (%s)" i msg))))
+  | Protocol.Dml_delete, _ -> (
     let results =
       scatter conn (fun i client ->
           Client.delete ?trace:(child_trace trace i) client ~table row)
@@ -816,25 +672,19 @@ let answer_dml conn ?trace op table row =
         | O_fatal msg -> if !real_fatal = None then real_fatal := Some msg
         | O_down _ -> incr downs)
       results;
-    (match !real_fatal with
-    | Some msg ->
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_errors;
-      shard_err ?trace msg
+    match !real_fatal with
+    | Some msg -> failed t (err ?trace "shard" msg)
     | None ->
       if !oks > 0 then
         Protocol.Done
           (Printf.sprintf "deleted from %s (%d shard(s))" table_lc !oks)
       else if !downs > 0 then
-        unavailable_err ?trace t "row not found on any reachable shard"
-      else
-        Protocol.Err
-          {
-            kind = "exec";
-            retriable = false;
-            message = Printf.sprintf "no matching row in %s" table_lc;
-            trace;
-          })
+        all_down ?trace t "row not found on any reachable shard"
+      else err ?trace "exec" (Printf.sprintf "no matching row in %s" table_lc))
+
+let dml conn trace op table row =
+  bump conn.router.c_queries;
+  Frame_server.Reply (answer_dml conn ?trace op table row)
 
 (* ------------------------------------------------------------------ *)
 (* SUBSCRIBE: routed continuous queries. Each shard subscription keeps
@@ -864,44 +714,48 @@ let multiset_diff ~before ~after =
   in
   (List.rev added_rev, removed)
 
-(* All-or-nothing setup over the given shards — a missing shard would
-   make the continuous answer silently partial forever. Each shard gets
-   a dedicated channel: after SUBSCRIBE a connection is a one-way
-   stream, so the pooled request channels must stay out of it. *)
-let open_shard_subs t ?trace ~indices stmt =
-  let opened = ref [] in
-  let close_all () =
-    List.iter (fun (_, c, _) -> try Client.close c with _ -> ()) !opened
+(* One shard subscription on a dedicated channel: after SUBSCRIBE a
+   connection is a one-way stream, so the pooled request channels must
+   stay out of it. [`Down] is a connection problem (the shard is marked
+   down), [`Rejected] a deterministic server-side rejection. *)
+let open_shard_sub t ?trace i stmt =
+  let b = t.backends.(i) in
+  match
+    Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost ~port:b.bport ()
+  with
+  | exception e ->
+    mark_down t i;
+    Error (`Down (Printexc.to_string e))
+  | c -> (
+    match Client.subscribe ?trace:(child_trace trace i) c stmt with
+    | Ok snap ->
+      mark_up t i;
+      Ok (i, c, snap)
+    | Error msg ->
+      (try Client.close c with _ -> ());
+      Error (`Rejected msg)
+    | exception e ->
+      (try Client.close c with _ -> ());
+      mark_down t i;
+      Error (`Down (Printexc.to_string e)))
+
+let sub_error ?trace t = function
+  | `Down msg -> all_down ?trace t msg
+  | `Rejected msg -> err ?trace "shard" msg
+
+(* All-or-nothing setup over every shard — a missing shard would make
+   the continuous answer silently partial forever. *)
+let open_shard_subs t ?trace stmt =
+  let rec go acc i =
+    if i >= nshards t then Ok (List.rev acc)
+    else
+      match open_shard_sub t ?trace i stmt with
+      | Ok s -> go (s :: acc) (i + 1)
+      | Error e ->
+        List.iter (fun (_, c, _) -> try Client.close c with _ -> ()) acc;
+        Error (sub_error ?trace t e)
   in
-  let rec go = function
-    | [] -> Ok (List.rev !opened)
-    | i :: rest -> (
-      let b = t.backends.(i) in
-      match
-        Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost
-          ~port:b.bport ()
-      with
-      | exception e ->
-        mark_down t i;
-        close_all ();
-        Error (unavailable_err ?trace t (Printexc.to_string e))
-      | c -> (
-        match Client.subscribe ?trace:(child_trace trace i) c stmt with
-        | Ok snap ->
-          mark_up t i;
-          opened := (i, c, snap) :: !opened;
-          go rest
-        | Error msg ->
-          (try Client.close c with _ -> ());
-          close_all ();
-          Error (shard_err ?trace msg)
-        | exception e ->
-          (try Client.close c with _ -> ());
-          mark_down t i;
-          close_all ();
-          Error (unavailable_err ?trace t (Printexc.to_string e))))
-  in
-  go indices
+  go [] 0
 
 (* Replicated / unregistered table: one backend holds the full answer,
    so subscribe to a single healthy shard (failing over on connection
@@ -910,83 +764,44 @@ let proxy_sub t ?trace stmt =
   let n = nshards t in
   let start = Atomic.fetch_and_add t.rr 1 mod n in
   let rec go k last =
-    if k >= n then Error (unavailable_err ?trace t last)
+    if k >= n then Error (all_down ?trace t last)
     else
-      let i = (start + k) mod n in
-      let b = t.backends.(i) in
-      match
-        Client.connect ~timeout_s:t.cfg.shard_timeout_s ~host:b.bhost
-          ~port:b.bport ()
-      with
-      | exception e ->
-        mark_down t i;
-        go (k + 1) (Printexc.to_string e)
-      | c -> (
-        match Client.subscribe ?trace:(child_trace trace i) c stmt with
-        | Ok snap ->
-          mark_up t i;
-          Ok [ (i, c, snap) ]
-        | Error msg ->
-          (try Client.close c with _ -> ());
-          Error (shard_err ?trace msg)
-        | exception e ->
-          (try Client.close c with _ -> ());
-          mark_down t i;
-          go (k + 1) (Printexc.to_string e))
+      match open_shard_sub t ?trace ((start + k) mod n) stmt with
+      | Ok s -> Ok [ s ]
+      | Error (`Down msg) -> go (k + 1) msg
+      | Error e -> Error (sub_error ?trace t e)
   in
   go 0 "no backends"
 
-(* Writes frames to the downstream client directly; returns the
-   continue-bool for the connection loop ([false] once the stream has
-   run, [true] after a setup error — the connection is still usable). *)
-let answer_subscribe conn ?trace sql =
+(* Writes the snapshot to the downstream client directly and answers the
+   [Stream] of deltas, or the error when the setup failed — the
+   connection is then still usable. *)
+let subscribe conn trace sql =
   let t = conn.router in
-  Atomic.incr t.c_queries;
-  Pref_obs.Metrics.incr m_queries;
+  bump t.c_queries;
   let send resp =
     Protocol.write_frame conn.fd (Protocol.encode_response resp)
   in
-  let fail resp =
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    send resp;
-    true
-  in
+  let fail resp = Frame_server.Reply (failed t resp) in
   match Parser.parse_query sql with
-  | exception e -> fail (error_response ?trace e)
+  | exception e -> fail (Frame_server.error_response ?trace e)
   | q -> (
     match Exec.full_preference ~registry:t.registry q with
-    | None ->
-      fail
-        (Protocol.Err
-           {
-             kind = "exec";
-             retriable = false;
-             message = "SUBSCRIBE requires a PREFERRING clause";
-             trace;
-           })
+    | None -> fail (err ?trace "exec" "SUBSCRIBE requires a PREFERRING clause")
     | Some pref -> (
       let stmt = Pretty.query_to_string q in
       let setup =
         match Merge.plan ~registry:t.registry ~shard_map:t.cfg.shard_map q with
-        | Error msg ->
-          Error
-            (Protocol.Err
-               { kind = "exec"; retriable = false; message = msg; trace })
+        | Error msg -> Error (err ?trace "exec" msg)
         | Ok Merge.Proxy -> proxy_sub t ?trace stmt
         | Ok (Merge.Scatter _) -> (
           match pre_scatter_errors t q with
-          | Some msg ->
-            Error
-              (Protocol.Err
-                 { kind = "check"; retriable = false; message = msg; trace })
-          | None ->
-            open_shard_subs t ?trace ~indices:(List.init (nshards t) Fun.id)
-              stmt)
+          | Some msg -> Error (err ?trace "check" msg)
+          | None -> open_shard_subs t ?trace stmt)
       in
       match setup with
       | Error resp -> fail resp
-      | Ok [] -> fail (unavailable_err ?trace t "no backends")
+      | Ok [] -> fail (all_down ?trace t "no backends")
       | Ok ((_, _, (rel0, flags0)) :: _ as subs) ->
         let subs = Array.of_list subs in
         let schema = Relation.schema rel0 in
@@ -1004,91 +819,100 @@ let answer_subscribe conn ?trace sql =
         in
         let union () = List.concat (Array.to_list rows) in
         let current = ref (winnow (union ())) in
-        send
-          (Protocol.Rows
-             {
-               relation = Relation.make schema !current;
-               flags;
-               served = Some (Array.length subs, nshards t);
-               trace;
-             });
-        Atomic.incr t.c_subscriptions;
-        Pref_obs.Metrics.set g_subs
-          (float_of_int (Atomic.get t.c_subscriptions));
-        let ev_m = Mutex.create () in
-        let evs = Queue.create () in
-        let push e = Mutex.protect ev_m (fun () -> Queue.add e evs) in
-        (* one blocking reader per shard stream; a timed read could lose
-           framing sync mid-frame, a blocked one cannot *)
-        let readers =
-          Array.mapi
-            (fun slot (_, c, _) ->
-              Thread.create
-                (fun () ->
-                  let rec go () =
-                    match Client.next_delta c with
-                    | Some d ->
-                      push (`Delta (slot, d));
-                      go ()
-                    | None -> push `Closed
-                    | exception _ -> push `Closed
-                  in
-                  go ())
-                ())
-            subs
+        let close_subs () =
+          Array.iter (fun (_, c, _) -> try Client.close c with _ -> ()) subs
         in
-        let apply slot (d : Client.delta) =
-          if d.Client.d_resync then rows.(slot) <- Relation.rows d.Client.d_added
-          else begin
-            let kept =
-              List.fold_left
-                (fun acc x ->
-                  match remove_row x acc with Some acc -> acc | None -> acc)
-                rows.(slot)
-                (Relation.rows d.Client.d_removed)
+        (try
+           send
+             (Protocol.Rows
+                {
+                  relation = Relation.make schema !current;
+                  flags;
+                  served = Some (Array.length subs, nshards t);
+                  trace;
+                })
+         with e ->
+           close_subs ();
+           raise e);
+        Frame_server.Stream
+          (fun () ->
+            let sync_subs () =
+              Pref_obs.Metrics.set g_subs
+                (float_of_int (Atomic.get t.subscriptions))
             in
-            rows.(slot) <- kept @ Relation.rows d.Client.d_added
-          end
-        in
-        let rec pump () =
-          if draining t then ()
-          else
-            match
-              Mutex.protect ev_m (fun () ->
-                  if Queue.is_empty evs then None else Some (Queue.pop evs))
-            with
-            | None ->
-              Thread.delay 0.02;
-              pump ()
-            | Some `Closed -> ()  (* a shard stream ended: end ours *)
-            | Some (`Delta (slot, d)) ->
-              apply slot d;
-              let next = winnow (union ()) in
-              let added, removed = multiset_diff ~before:!current ~after:next in
-              current := next;
-              if added <> [] || removed <> [] then begin
-                Atomic.incr t.c_deltas;
-                Pref_obs.Metrics.incr m_deltas;
-                send
-                  (Protocol.Delta
-                     {
-                       added = Relation.make schema added;
-                       removed = Relation.make schema removed;
-                       resync = false;
-                       trace;
-                     })
-              end;
-              pump ()
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Array.iter (fun (_, c, _) -> try Client.close c with _ -> ()) subs;
-            Array.iter (fun th -> try Thread.join th with _ -> ()) readers;
-            Atomic.decr t.c_subscriptions;
-            Pref_obs.Metrics.set g_subs
-              (float_of_int (Atomic.get t.c_subscriptions)))
-          (fun () -> pump ());
-        false))
+            Atomic.incr t.subscriptions;
+            sync_subs ();
+            let ev_m = Mutex.create () in
+            let evs = Queue.create () in
+            let push e = Mutex.protect ev_m (fun () -> Queue.add e evs) in
+            (* one blocking reader per shard stream; a timed read could lose
+               framing sync mid-frame, a blocked one cannot *)
+            let readers =
+              Array.mapi
+                (fun slot (_, c, _) ->
+                  Thread.create
+                    (fun () ->
+                      let rec go () =
+                        match Client.next_delta c with
+                        | Some d ->
+                          push (`Delta (slot, d));
+                          go ()
+                        | None -> push `Closed
+                        | exception _ -> push `Closed
+                      in
+                      go ())
+                    ())
+                subs
+            in
+            let apply slot (d : Client.delta) =
+              if d.Client.d_resync then rows.(slot) <- Relation.rows d.Client.d_added
+              else begin
+                let kept =
+                  List.fold_left
+                    (fun acc x ->
+                      match remove_row x acc with Some acc -> acc | None -> acc)
+                    rows.(slot)
+                    (Relation.rows d.Client.d_removed)
+                in
+                rows.(slot) <- kept @ Relation.rows d.Client.d_added
+              end
+            in
+            let rec pump () =
+              if Frame_server.draining t.fs then ()
+              else
+                match
+                  Mutex.protect ev_m (fun () ->
+                      if Queue.is_empty evs then None else Some (Queue.pop evs))
+                with
+                | None ->
+                  Thread.delay 0.02;
+                  pump ()
+                | Some `Closed -> ()  (* a shard stream ended: end ours *)
+                | Some (`Delta (slot, d)) ->
+                  apply slot d;
+                  let next = winnow (union ()) in
+                  let added, removed = multiset_diff ~before:!current ~after:next in
+                  current := next;
+                  if added <> [] || removed <> [] then begin
+                    bump t.c_deltas;
+                    send
+                      (Protocol.Delta
+                         {
+                           added = Relation.make schema added;
+                           removed = Relation.make schema removed;
+                           resync = false;
+                           trace;
+                         })
+                  end;
+                  pump ()
+            in
+            Fun.protect
+              ~finally:(fun () ->
+                close_subs ();
+                Array.iter (fun th -> try Thread.join th with _ -> ()) readers;
+                Atomic.decr t.subscriptions;
+                sync_subs ())
+              pump)))
 
 (* ------------------------------------------------------------------ *)
 (* SET / STATS                                                         *)
@@ -1098,11 +922,9 @@ let answer_subscribe conn ?trace sql =
    cap at the final pass keeps the single-node semantics. *)
 let forwarded_key key = String.lowercase_ascii key <> "maxrows"
 
-let answer_set conn ~key ~value =
+let set conn ~key ~value =
   match Pref_bmo.Engine.set conn.config ~key ~value with
-  | Error msg ->
-    Protocol.Err
-      { kind = "set"; retriable = false; message = msg; trace = None }
+  | Error msg -> Error msg
   | Ok cfg ->
     conn.config <- cfg;
     if forwarded_key key then begin
@@ -1120,13 +942,12 @@ let answer_set conn ~key ~value =
       List.assoc_opt (String.lowercase_ascii key)
         (Pref_bmo.Engine.describe cfg)
     in
-    Protocol.Done
+    Ok
       (Printf.sprintf "%s: %s"
          (String.lowercase_ascii key)
          (Option.value shown ~default:value))
 
 let counters t =
-  let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
   let per_shard =
     Mutex.protect t.health_m (fun () ->
         List.concat
@@ -1139,30 +960,18 @@ let counters t =
                ])
              (Array.to_list t.health)))
   in
-  [
-    ("router.accepted", Atomic.get t.c_accepted);
-    ("router.active_connections", active);
-    ("router.connections_rejected", Atomic.get t.c_conn_rejected);
-    ("router.queries", Atomic.get t.c_queries);
-    ("router.scatter", Atomic.get t.c_scatter);
-    ("router.proxied", Atomic.get t.c_proxied);
-    ("router.merged", Atomic.get t.c_merged);
-    ("router.merge_skipped", Atomic.get t.c_merge_skipped);
-    ("router.partial", Atomic.get t.c_partial);
-    ("router.shard_down", Atomic.get t.c_shard_down);
-    ("router.errors", Atomic.get t.c_errors);
-    ("router.subscriptions", Atomic.get t.c_subscriptions);
-    ("router.deltas", Atomic.get t.c_deltas);
-    ("router.backends", nshards t);
-    ("router.shards_up", shards_up t);
-    ("router.draining", if draining t then 1 else 0);
-  ]
+  Frame_server.counters t.fs
+  @ [
+      ("router.subscriptions", Atomic.get t.subscriptions);
+      ("router.backends", nshards t);
+      ("router.shards_up", shards_up t);
+    ]
   @ per_shard
 
 (* STATS: the router's own counters, then every backend's integer
    counters summed under a [shards.] prefix (float-valued histogram
    summaries don't sum meaningfully and are skipped). *)
-let answer_stats conn =
+let stats conn =
   let t = conn.router in
   let results = scatter conn (fun _i client -> Client.stats client) in
   let sums : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -1186,254 +995,76 @@ let answer_stats conn =
       (fun k -> ("shards." ^ k, string_of_int (Hashtbl.find sums k)))
       !order
   in
-  Protocol.Stats_resp
-    (List.map (fun (k, v) -> (k, string_of_int v)) (counters t) @ shard_sums)
-
-(* ------------------------------------------------------------------ *)
-(* Connection loop                                                     *)
-
-exception Drain
-
-let handle_connection t fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
-  let conn =
-    {
-      router = t;
-      fd;
-      config = t.cfg.session_config;
-      prepared = [];
-      set_log = [];
-      last_q = None;
-      clients = Array.map (fun _ -> None) t.backends;
-    }
-  in
-  let send resp = Protocol.write_frame fd (Protocol.encode_response resp) in
-  let on_wait () = if draining t then raise Drain in
-  let rec loop () =
-    match Protocol.read_frame ~on_wait fd with
-    | None -> ()
-    | Some payload ->
-      let continue =
-        match Protocol.parse_request payload with
-        | Error msg ->
-          send
-            (Protocol.Err
-               { kind = "proto"; retriable = false; message = msg; trace = None });
-          true
-        | Ok (Protocol.Query { sql; trace }) ->
-          send (answer_query conn ?trace sql);
-          true
-        | Ok (Protocol.Prepare { name; sql; trace }) ->
-          (match Parser.parse_query sql with
-          | q ->
-            conn.prepared <- (name, q) :: List.remove_assoc name conn.prepared;
-            send (Protocol.Done ("prepared " ^ name))
-          | exception e -> send (error_response ?trace e));
-          true
-        | Ok (Protocol.Explain { sql; analyze; json; trace }) ->
-          send (answer_explain conn ~analyze ~json ?trace sql);
-          true
-        | Ok (Protocol.Refine { term; trace }) ->
-          send (answer_refine conn ?trace term);
-          true
-        | Ok (Protocol.Dml { op; table; row; trace }) ->
-          send (answer_dml conn ?trace op table row);
-          true
-        | Ok (Protocol.Subscribe { sql; trace }) ->
-          answer_subscribe conn ?trace sql
-        | Ok (Protocol.Set (key, value)) ->
-          send (answer_set conn ~key ~value);
-          true
-        | Ok Protocol.Stats ->
-          send (answer_stats conn);
-          true
-        | Ok (Protocol.Metrics { json }) ->
-          let body =
-            if json then Pref_obs.Json.to_string (Pref_obs.Export.to_json ())
-            else Pref_obs.Export.prometheus ()
-          in
-          send (Protocol.Metrics_resp body);
-          true
-        | Ok Protocol.Ping ->
-          send Protocol.Pong;
-          true
-      in
-      if continue then loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iteri (fun i _ -> drop_client conn i) conn.clients)
-    (fun () ->
-      try loop () with
-      | Drain | Protocol.Framing_error _ | Unix.Unix_error _ | Sys_error _ ->
-        ())
-
-let spawn_connection t fd =
-  let id = Atomic.fetch_and_add t.c_next_id 1 in
-  Mutex.protect t.conns_m (fun () ->
-      t.conns <- (id, fd) :: t.conns;
-      Pref_obs.Metrics.set g_conns (float_of_int (List.length t.conns)));
-  let thread =
-    Thread.create
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.protect t.conns_m (fun () ->
-                t.conns <- List.remove_assoc id t.conns;
-                Pref_obs.Metrics.set g_conns
-                  (float_of_int (List.length t.conns)));
-            (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
-            try Unix.close fd with _ -> ())
-          (fun () -> handle_connection t fd))
-      ()
-  in
-  Mutex.protect t.conns_m (fun () ->
-      t.conn_threads <- (id, thread) :: t.conn_threads)
-
-let accept_loop t () =
-  Unix.setsockopt_float t.listen_fd Unix.SO_RCVTIMEO 0.25;
-  let rec loop () =
-    if draining t || Atomic.get t.stop_requested then ()
-    else
-      match Unix.accept t.listen_fd with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        loop ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        Atomic.incr t.c_accepted;
-        let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
-        if active >= t.cfg.max_connections then begin
-          Atomic.incr t.c_conn_rejected;
-          (try
-             Protocol.write_frame fd
-               (Protocol.encode_response
-                  (Protocol.Err
-                     {
-                       kind = "busy";
-                       retriable = true;
-                       message = "router at max connections; retry";
-                       trace = None;
-                     }))
-           with _ -> ());
-          try Unix.close fd with _ -> ()
-        end
-        else spawn_connection t fd;
-        loop ()
-  in
-  loop ()
+  List.map (fun (k, v) -> (k, string_of_int v)) (counters t) @ shard_sums
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
+
+let backend t =
+  {
+    Frame_server.open_conn =
+      (fun fd ->
+        {
+          router = t;
+          fd;
+          config = t.cfg.session_config;
+          prepared = [];
+          set_log = [];
+          last_q = None;
+          clients = Array.map (fun _ -> None) t.backends;
+        });
+    close_conn = (fun conn -> Array.iteri (fun i _ -> drop_client conn i) conn.clients);
+    query;
+    explain;
+    prepare =
+      (fun conn ~name sql ->
+        let q = Parser.parse_query sql in
+        conn.prepared <- (name, q) :: List.remove_assoc name conn.prepared);
+    refine;
+    dml;
+    subscribe;
+    set;
+    stats;
+  }
 
 let start ?(config = default_config) ?(registry = Translate.default_registry)
     () =
   if config.backends = [] then
     invalid_arg "Router.start: at least one backend required";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
+  let fs =
+    Frame_server.bind ~name:"router" ~host:config.host ~port:config.port
+      ~max_connections:config.max_connections ()
   in
+  let counter = Frame_server.counter fs in
   let backends = Array.of_list config.backends in
   let t =
     {
       cfg = config;
+      fs;
       registry;
       backends;
-      listen_fd;
-      bound_port;
       health =
         Array.map (fun _ -> { failures = 0; down_until = 0. }) backends;
       health_m = Mutex.create ();
-      m = Mutex.create ();
-      draining = false;
-      drain_started = false;
-      stopped = false;
-      stopped_c = Condition.create ();
-      stop_requested = Atomic.make false;
-      accept_thread = None;
-      conns_m = Mutex.create ();
-      conns = [];
-      conn_threads = [];
       rr = Atomic.make 0;
       schemas_m = Mutex.create ();
       schemas = Hashtbl.create 8;
-      c_accepted = Atomic.make 0;
-      c_conn_rejected = Atomic.make 0;
-      c_queries = Atomic.make 0;
-      c_scatter = Atomic.make 0;
-      c_proxied = Atomic.make 0;
-      c_merged = Atomic.make 0;
-      c_merge_skipped = Atomic.make 0;
-      c_partial = Atomic.make 0;
-      c_shard_down = Atomic.make 0;
-      c_errors = Atomic.make 0;
-      c_subscriptions = Atomic.make 0;
-      c_deltas = Atomic.make 0;
-      c_next_id = Atomic.make 0;
+      subscriptions = Atomic.make 0;
+      c_queries = counter "queries";
+      c_scatter = counter "scatter";
+      c_proxied = counter "proxied";
+      c_merged = counter "merged";
+      c_merge_skipped = counter "merge_skipped";
+      c_partial = counter "partial";
+      c_shard_down = counter "shard_down";
+      c_errors = counter "errors";
+      c_deltas = counter "deltas";
     }
   in
   Pref_obs.Metrics.set g_up (float_of_int (nshards t));
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
+  Frame_server.serve fs (Frame_server.frames fs (backend t));
   t
 
-let request_stop t = Atomic.set t.stop_requested true
-
-let stop t =
-  let first =
-    Mutex.protect t.m (fun () ->
-        if t.drain_started then false
-        else begin
-          t.drain_started <- true;
-          t.draining <- true;
-          true
-        end)
-  in
-  if not first then
-    Mutex.protect t.m (fun () ->
-        while not t.stopped do
-          Condition.wait t.stopped_c t.m
-        done)
-  else begin
-    (* 1. stop accepting; the accept loop polls [draining] on its timeout *)
-    Option.iter Thread.join t.accept_thread;
-    t.accept_thread <- None;
-    (try Unix.close t.listen_fd with _ -> ());
-    (* 2. connection threads notice [draining] on their read timeout and
-       exit after flushing the in-flight response; nudge blocked reads *)
-    let conns = Mutex.protect t.conns_m (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      conns;
-    let threads = Mutex.protect t.conns_m (fun () -> t.conn_threads) in
-    List.iter (fun (_, th) -> Thread.join th) threads;
-    Mutex.protect t.conns_m (fun () -> t.conn_threads <- []);
-    Mutex.protect t.m (fun () ->
-        t.stopped <- true;
-        Condition.broadcast t.stopped_c)
-  end
-
-let wait t =
-  let rec poll () =
-    let stopped = Mutex.protect t.m (fun () -> t.stopped) in
-    if stopped then ()
-    else if Atomic.get t.stop_requested then stop t
-    else begin
-      Thread.delay 0.1;
-      poll ()
-    end
-  in
-  poll ()
+let stop t = Frame_server.stop t.fs
+let request_stop t = Frame_server.request_stop t.fs
+let wait t = Frame_server.wait t.fs

@@ -1,10 +1,13 @@
 (** The scatter-gather router: one wire-protocol endpoint in front of N
-    [prefserve] backends.
+    [prefserve] backends — the scatter-gather backend of the
+    {!Pref_server.Frame_server} spine.
 
-    Speaks exactly the {!Pref_server.Protocol} a single server speaks —
+    The spine is the one the single server runs on (accept, the
+    connection limit, one thread per connection, the frame loop,
+    [PING]/[METRICS], the exception → [ERR] mapping, the drain), so
     clients (shell, soak driver, benches) cannot tell the difference
-    except for the extra [served=k/n] word on ROWS responses. Per
-    request:
+    except for the extra [served=k/n] word on ROWS responses. This
+    module answers the remaining verbs, on the connection thread:
 
     - QUERY over a sharded table: fan the {!Merge}-planned shard
       statement out to every backend in parallel, gather the per-shard
@@ -27,6 +30,11 @@
       scatter-gather plan with {!Pref_bmo.Cost.scatter_gather_ms}
       (slowest shard + per-shard dispatch + final merge) and renders the
       per-shard plans indented underneath.
+    - REFINE revises the connection's last answered statement and
+      routes it like a QUERY; DML places an insert on the owning shard
+      (replicated tables: every shard) and broadcasts a delete; SUBSCRIBE
+      subscribes to every shard and streams the diff of the re-winnowed
+      union.
     - STATS sums the backends' integer counters under a [shards.]
       prefix, adds per-shard [shard.<i>.up] health, and the router's own
       counters. METRICS answers the router process's registry.
@@ -64,7 +72,6 @@ val start : ?config:config -> ?registry:Pref_sql.Translate.registry -> unit -> t
     router. *)
 
 val port : t -> int
-val draining : t -> bool
 
 val counters : t -> (string * int) list
 (** The router-local counters (no backend round trips):
@@ -75,8 +82,10 @@ val counters : t -> (string * int) list
     [shard.<i>.failures] per backend. *)
 
 val stop : t -> unit
-(** Graceful drain, idempotent: stop accepting, let in-flight requests
-    flush, close backend connections. *)
+(** Graceful drain, idempotent: stop accepting, let every connection
+    answer the request it has read, end routed subscriptions (shutting
+    down the socket of one blocked on a client that stopped reading),
+    close the client and backend connections. *)
 
 val request_stop : t -> unit
 (** Signal-handler-safe: ask {!wait} to run {!stop}. *)

@@ -1,15 +1,10 @@
-(* A deliberately tiny HTTP/1.0 GET responder for metrics scrapes. One
-   accept thread, one request per connection, response then close — a
-   Prometheus scraper needs nothing more, and anything more (keep-alive,
-   chunking, a real parser) would be dead weight next to the wire
-   protocol the actual clients use. *)
+(* A deliberately tiny HTTP/1.0 GET responder for metrics scrapes, on
+   the shared listener: one request per connection, response then close
+   — a Prometheus scraper needs nothing more, and anything more
+   (keep-alive, chunking, a real parser) would be dead weight next to
+   the wire protocol the actual clients use. *)
 
-type t = {
-  fd : Unix.file_descr;
-  bound_port : int;
-  stop : bool Atomic.t;
-  mutable thread : Thread.t option;
-}
+type t = Frame_server.t
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -70,51 +65,12 @@ let answer fd =
   in
   write 0
 
-let accept_loop t () =
-  Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO 0.25;
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.accept t.fd with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        loop ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        (* scrapes are rare (seconds apart) and the render is cheap:
-           serve inline on the accept thread *)
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-        (try answer fd with _ -> ());
-        (try Unix.close fd with _ -> ());
-        loop ()
-  in
-  loop ()
-
 let start ?(host = "127.0.0.1") ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen fd 16
-   with e ->
-     (try Unix.close fd with _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
-  let t = { fd; bound_port; stop = Atomic.make false; thread = None } in
-  t.thread <- Some (Thread.create (accept_loop t) ());
+  let t = Frame_server.bind ~name:"metrics_http" ~host ~port () in
+  Frame_server.serve t (fun fd ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+      answer fd);
   t
 
-let port t = t.bound_port
-
-let stop t =
-  if not (Atomic.get t.stop) then begin
-    Atomic.set t.stop true;
-    Option.iter Thread.join t.thread;
-    t.thread <- None;
-    try Unix.close t.fd with _ -> ()
-  end
+let port = Frame_server.port
+let stop = Frame_server.stop

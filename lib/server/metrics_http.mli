@@ -3,9 +3,10 @@
     [GET /metrics] answers {!Pref_obs.Export.prometheus} with content
     type [text/plain; version=0.0.4; charset=utf-8]; [GET /metrics.json]
     the JSON snapshot; other paths 404, other methods 405. HTTP/1.0, one
-    request per connection, served directly on the accept thread —
-    scrapes arrive seconds apart and render in microseconds, so there is
-    nothing to parallelise. Started by [prefserve --metrics-port]. *)
+    request per connection, each on its own thread of the
+    {!Frame_server} listener the query servers use — without a
+    connection limit, so every scrape is served. Started by
+    [prefserve --metrics-port]. *)
 
 type t
 
@@ -17,5 +18,6 @@ val start : ?host:string -> port:int -> unit -> t
 val port : t -> int
 
 val stop : t -> unit
-(** Stop accepting and join the thread; idempotent. The accept loop
-    polls its stop flag every 0.25 s, so this returns quickly. *)
+(** Stop accepting and join the threads; idempotent. The accept loop
+    polls its stop flag every 0.25 s and a scrape that sends nothing is
+    dropped after 1 s, so this returns quickly. *)

@@ -23,20 +23,8 @@ let default_config =
     session_config = { Pref_bmo.Engine.default with check = true };
   }
 
-(* server.* metrics — mirrors of the always-on atomic counters below, fed
-   when telemetry is globally enabled *)
-let m_queries = Pref_obs.Metrics.counter "server.queries"
-let m_busy = Pref_obs.Metrics.counter "server.busy_rejected"
-let m_drain_rej = Pref_obs.Metrics.counter "server.draining_rejected"
-let m_degraded = Pref_obs.Metrics.counter "server.degraded"
-let m_deadline = Pref_obs.Metrics.counter "server.deadline_exceeded"
-let m_truncated = Pref_obs.Metrics.counter "server.truncated"
-let m_errors = Pref_obs.Metrics.counter "server.errors"
-let m_deltas = Pref_obs.Metrics.counter "server.deltas"
-let m_resyncs = Pref_obs.Metrics.counter "server.subscription_resyncs"
 let g_inflight = Pref_obs.Metrics.gauge "server.inflight"
 let g_queue = Pref_obs.Metrics.gauge "server.queue_depth"
-let g_conns = Pref_obs.Metrics.gauge "server.connections"
 let g_subs = Pref_obs.Metrics.gauge "server.subscriptions"
 
 (* One continuous query (SUBSCRIBE): the maintained BMO state plus a
@@ -61,59 +49,44 @@ let max_sub_queue = 64
 
 type t = {
   cfg : config;
+  fs : Frame_server.t;
   registry : Translate.registry;
   mutable env : Exec.env;  (* authoritative tables, under [env_m] *)
   env_m : Mutex.t;
   env_v : int Atomic.t;  (* bumped by every DML write-back *)
-  listen_fd : Unix.file_descr;
-  bound_port : int;
   (* executor state, all under [m] *)
   m : Mutex.t;
   nonempty : Condition.t;  (* a job was queued, or executors must stop *)
-  idle : Condition.t;  (* queued + running reached 0 *)
-  stopped_c : Condition.t;  (* full drain finished *)
   queue : (unit -> unit) Queue.t;
   mutable queued : int;
   mutable running : int;
-  mutable draining : bool;
   mutable exec_stop : bool;
-  mutable drain_started : bool;
-  mutable stopped : bool;
-  stop_requested : bool Atomic.t;
   mutable workers : unit Domain.t array;
-  mutable accept_thread : Thread.t option;
-  (* live connections *)
-  conns_m : Mutex.t;
-  mutable conns : (int * Unix.file_descr) list;  (* keyed by thread id *)
-  mutable conn_threads : (int * Thread.t) list;
-  (* live subscriptions *)
+  (* live subscriptions; [subs_closed] once the drain ended them *)
   subs_m : Mutex.t;
   mutable subs : subscriber list;
-  (* always-on counters (STATS must work with telemetry off) *)
-  c_accepted : int Atomic.t;
-  c_conn_rejected : int Atomic.t;
-  c_queries : int Atomic.t;
-  c_busy : int Atomic.t;
-  c_drain_rej : int Atomic.t;
-  c_degraded : int Atomic.t;
-  c_deadline : int Atomic.t;
-  c_truncated : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_deltas : int Atomic.t;
-  c_resyncs : int Atomic.t;
-  c_next_id : int Atomic.t;
+  mutable subs_closed : bool;
+  c_queries : Frame_server.counter;
+  c_busy : Frame_server.counter;
+  c_drain_rej : Frame_server.counter;
+  c_degraded : Frame_server.counter;
+  c_deadline : Frame_server.counter;
+  c_truncated : Frame_server.counter;
+  c_errors : Frame_server.counter;
+  c_deltas : Frame_server.counter;
+  c_resyncs : Frame_server.counter;
 }
 
-let port t = t.bound_port
-let draining t = Mutex.protect t.m (fun () -> t.draining)
+let port t = Frame_server.port t.fs
+let bump = Frame_server.bump
+
+(* ------------------------------------------------------------------ *)
+(* Executor domains                                                    *)
 
 let sync_gauges t =
   (* called with [t.m] held *)
   Pref_obs.Metrics.set g_queue (float_of_int t.queued);
   Pref_obs.Metrics.set g_inflight (float_of_int (t.queued + t.running))
-
-(* ------------------------------------------------------------------ *)
-(* Executor domains                                                    *)
 
 let worker t () =
   let rec loop () =
@@ -132,214 +105,88 @@ let worker t () =
       Mutex.lock t.m;
       t.running <- t.running - 1;
       sync_gauges t;
-      if t.running = 0 && t.queued = 0 then Condition.broadcast t.idle;
       Mutex.unlock t.m;
       loop ()
     end
   in
   loop ()
 
+let stop_executors t =
+  Mutex.protect t.m (fun () ->
+      t.exec_stop <- true;
+      Condition.broadcast t.nonempty);
+  Array.iter Domain.join t.workers;
+  t.workers <- [||]
+
 let submit t job =
-  Mutex.lock t.m;
-  let verdict =
-    if t.draining then Error `Draining
-    else if t.queued + t.running >= t.cfg.max_inflight then Error `Busy
-    else begin
-      Queue.push job t.queue;
-      t.queued <- t.queued + 1;
-      sync_gauges t;
-      Condition.signal t.nonempty;
-      Ok ()
-    end
-  in
-  Mutex.unlock t.m;
-  verdict
+  Mutex.protect t.m (fun () ->
+      if Frame_server.draining t.fs then Error `Draining
+      else if t.queued + t.running >= t.cfg.max_inflight then Error `Busy
+      else begin
+        Queue.push job t.queue;
+        t.queued <- t.queued + 1;
+        sync_gauges t;
+        Condition.signal t.nonempty;
+        Ok ()
+      end)
 
-(* ------------------------------------------------------------------ *)
-(* Request handling                                                    *)
-
-let error_response ?trace e =
-  let err ?(retriable = false) kind message =
-    Protocol.Err { kind; retriable; message; trace }
-  in
-  match e with
-  | Parser.Error (msg, pos) ->
-    err "parse" (Printf.sprintf "syntax error at offset %d: %s" pos msg)
-  | Translate.Error msg -> err "translate" msg
-  | Exec.Unknown_table { name; hint } ->
-    err "exec" (Exec.unknown_table_message ~name ~hint)
-  | Exec.Error msg -> err "exec" msg
-  | Exec.Rejected findings ->
-    err "check"
-      (String.concat "\n"
-         ("rejected by static analysis:"
-         :: List.map
-              (fun f ->
-                Printf.sprintf "  %s[%s] %s: %s" f.Exec.check_severity
-                  f.Exec.check_code f.Exec.check_path f.Exec.check_message)
-              findings))
-  | Preferences.Pref.Ill_formed { code; message; _ } ->
-    err "pref" (Printf.sprintf "[%s] %s" code message)
-  | Pref_bmo.Pool.Job_error { exn; _ } ->
-    err "exec" (Printexc.to_string exn)
-  | e -> err "internal" (Printexc.to_string e)
-
-let counters t =
-  Mutex.lock t.m;
-  let queued = t.queued and running = t.running and draining = t.draining in
-  Mutex.unlock t.m;
-  let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
-  [
-    ("server.accepted", Atomic.get t.c_accepted);
-    ("server.active_connections", active);
-    ("server.connections_rejected", Atomic.get t.c_conn_rejected);
-    ("server.queries", Atomic.get t.c_queries);
-    ("server.queue_depth", queued);
-    ("server.running", running);
-    ("server.inflight", queued + running);
-    ("server.busy_rejected", Atomic.get t.c_busy);
-    ("server.draining_rejected", Atomic.get t.c_drain_rej);
-    ("server.degraded", Atomic.get t.c_degraded);
-    ("server.deadline_exceeded", Atomic.get t.c_deadline);
-    ("server.truncated", Atomic.get t.c_truncated);
-    ("server.errors", Atomic.get t.c_errors);
-    ("server.subscriptions", Mutex.protect t.subs_m (fun () -> List.length t.subs));
-    ("server.deltas", Atomic.get t.c_deltas);
-    ("server.subscription_resyncs", Atomic.get t.c_resyncs);
-    ("server.slow_queries", Pref_engine.Slowlog.count ());
-    ("server.draining", if draining then 1 else 0);
-  ]
-
-(* Histogram summaries for the extended STATS response: count, sum and
-   interpolated p50/p90/p99 per non-empty histogram. Only meaningful
-   while telemetry is on (otherwise the registry stays at zero). *)
-let histogram_lines () =
-  List.concat_map
-    (fun (name, s) ->
-      [
-        (name ^ ".count", string_of_int s.Pref_obs.Metrics.s_count);
-        (name ^ ".sum", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_sum);
-        (name ^ ".p50", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p50);
-        (name ^ ".p90", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p90);
-        (name ^ ".p99", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p99);
-      ])
-    (Pref_obs.Metrics.summaries ())
-  |> List.map (fun (k, v) -> ("hist." ^ k, v))
-
-(* Evaluate *and* encode on an executor domain — encoding large results
-   is part of the serving cost, and connection threads all share one
-   runtime lock, so everything heavy must leave them. [compute] returns
-   the encoded response payload. *)
-let submit_and_wait t fd ?trace compute =
-  let done_m = Mutex.create () in
-  let done_c = Condition.create () in
-  let finished = ref false in
-  let job () =
-    let payload = compute () in
-    (* the peer may have vanished; the connection thread will see EOF *)
-    (try Protocol.write_frame fd payload with _ -> ());
-    Mutex.lock done_m;
-    finished := true;
-    Condition.signal done_c;
-    Mutex.unlock done_m
-  in
-  match submit t job with
-  | Ok () ->
-    (* requests on one connection are strictly serial: wait for the
-       response to be written before reading the next frame *)
-    Mutex.lock done_m;
-    while not !finished do
-      Condition.wait done_c done_m
-    done;
-    Mutex.unlock done_m
-  | Error `Busy ->
-    Atomic.incr t.c_busy;
-    Pref_obs.Metrics.incr m_busy;
-    Protocol.write_frame fd
-      (Protocol.encode_response
-         (Protocol.Err
-            {
-              kind = "busy";
-              retriable = true;
-              message = "server at max in-flight queries; retry";
-              trace;
-            }))
-  | Error `Draining ->
-    Atomic.incr t.c_drain_rej;
-    Pref_obs.Metrics.incr m_drain_rej;
-    Protocol.write_frame fd
-      (Protocol.encode_response
-         (Protocol.Err
-            {
-              kind = "draining";
-              retriable = true;
-              message = "server is draining; retry elsewhere";
-              trace;
-            }))
-
-(* Run [f] on an executor domain and hand its outcome back to the
-   connection thread — like {!submit_and_wait}, but for handlers that
-   need the computed value (DML, SUBSCRIBE setup) rather than a payload
-   to write. *)
-let on_executor t f =
-  let done_m = Mutex.create () in
-  let done_c = Condition.create () in
+(* Run [f] on an executor domain and block the connection thread until
+   it returns — requests on one connection are strictly serial. [f]'s
+   exception is re-raised here. An admission rejection is [Error] with
+   the retriable ERR to answer. Connection threads all share one runtime
+   lock, so everything heavy, encoding large results included, runs in
+   [f]. *)
+let on_executor t ?trace f =
+  let done_m = Mutex.create () and done_c = Condition.create () in
   let outcome = ref None in
   let job () =
     let r = try Ok (f ()) with e -> Error e in
-    Mutex.lock done_m;
-    outcome := Some r;
-    Condition.signal done_c;
-    Mutex.unlock done_m
+    Mutex.protect done_m (fun () ->
+        outcome := Some r;
+        Condition.signal done_c)
+  in
+  let reject counter kind message =
+    bump counter;
+    Error (Protocol.Err { kind; retriable = true; message; trace })
   in
   match submit t job with
-  | Ok () ->
+  | Error `Busy -> reject t.c_busy "busy" "server at max in-flight queries; retry"
+  | Error `Draining ->
+    reject t.c_drain_rej "draining" "server is draining; retry elsewhere"
+  | Ok () -> (
     Mutex.lock done_m;
     while !outcome = None do
       Condition.wait done_c done_m
     done;
     Mutex.unlock done_m;
-    (match !outcome with
-    | Some (Ok v) -> `Ok v
-    | Some (Error e) -> `Exn e
+    match !outcome with
+    | Some (Ok v) -> Ok v
+    | Some (Error e) -> raise e
     | None -> assert false)
-  | Error `Busy ->
-    Atomic.incr t.c_busy;
-    Pref_obs.Metrics.incr m_busy;
-    `Rejected
-      (Protocol.Err
-         {
-           kind = "busy";
-           retriable = true;
-           message = "server at max in-flight queries; retry";
-           trace = None;
-         })
-  | Error `Draining ->
-    Atomic.incr t.c_drain_rej;
-    Pref_obs.Metrics.incr m_drain_rej;
-    `Rejected
-      (Protocol.Err
-         {
-           kind = "draining";
-           retriable = true;
-           message = "server is draining; retry elsewhere";
-           trace = None;
-         })
 
 (* ------------------------------------------------------------------ *)
-(* Shared tables: sessions are per-connection, the environment is not.
-   [t.env] is authoritative; DML rewrites it under [env_m] and bumps
-   [env_v], and every connection re-snapshots its session environment
-   when it notices the version moved ([refresh_env] — which also drops
-   the session's revision seed, computed against the old tables). *)
+(* Per-connection state. Sessions are per-connection, the environment
+   is not: [t.env] is authoritative; DML rewrites it under [env_m] and
+   bumps [env_v], and every connection re-snapshots its session
+   environment when it notices the version moved ([refresh_env] — which
+   also drops the session's revision seed, computed against the old
+   tables). *)
 
-let refresh_env t session last_v =
+type conn = {
+  fd : Unix.file_descr;
+  session : Pref_engine.Session.t;
+  last_v : int ref;  (* the environment version the session last saw *)
+}
+
+let refresh_env t c =
   let v = Atomic.get t.env_v in
-  if v <> !last_v then begin
-    last_v := v;
-    Pref_engine.Session.set_env session
+  if v <> !(c.last_v) then begin
+    c.last_v := v;
+    Pref_engine.Session.set_env c.session
       (Mutex.protect t.env_m (fun () -> t.env))
   end
+
+let send c resp = Protocol.write_frame c.fd (Protocol.encode_response resp)
 
 (* ------------------------------------------------------------------ *)
 (* Subscriptions                                                       *)
@@ -348,13 +195,26 @@ let sync_subs_gauge t =
   (* called with [t.subs_m] held *)
   Pref_obs.Metrics.set g_subs (float_of_int (List.length t.subs))
 
+let close_subscriber sub =
+  Mutex.protect sub.sub_m (fun () ->
+      sub.sub_closed <- true;
+      Condition.broadcast sub.sub_c)
+
 let unregister_subscriber t sub =
   Mutex.protect t.subs_m (fun () ->
       t.subs <- List.filter (fun s -> s != sub) t.subs;
       sync_subs_gauge t);
-  Mutex.protect sub.sub_m (fun () ->
-      sub.sub_closed <- true;
-      Condition.broadcast sub.sub_c)
+  close_subscriber sub
+
+(* The drain hook: a subscriber's request never finishes on its own. A
+   subscription set up after this point starts closed. *)
+let close_subscriptions t =
+  let subs =
+    Mutex.protect t.subs_m (fun () ->
+        t.subs_closed <- true;
+        t.subs)
+  in
+  List.iter close_subscriber subs
 
 (* Patch one subscriber's maintained BMO state with a DML event and queue
    the resulting DELTA frame. Called with [t.env_m] held, so deltas reach
@@ -378,8 +238,7 @@ let notify_subscriber t sub op row =
       if Queue.length sub.sub_queue >= max_sub_queue then begin
         Queue.clear sub.sub_queue;
         sub.sub_overflow <- true;
-        Atomic.incr t.c_resyncs;
-        Pref_obs.Metrics.incr m_resyncs
+        bump t.c_resyncs
       end
       else
         Queue.push
@@ -435,8 +294,7 @@ let stream_subscriber t sub =
     | None -> ()
     | Some frame ->
       Protocol.write_frame sub.sub_fd (Protocol.encode_response frame);
-      Atomic.incr t.c_deltas;
-      Pref_obs.Metrics.incr m_deltas;
+      bump t.c_deltas;
       loop ()
   in
   loop ()
@@ -451,9 +309,8 @@ let subscribable (q : Ast.query) =
   && q.Ast.grouping = []
   && match q.Ast.from with [ _ ] -> true | _ -> false
 
-let run_subscribe t session fd last_v ?trace sql =
-  refresh_env t session last_v;
-  let send resp = Protocol.write_frame fd (Protocol.encode_response resp) in
+let subscribe t c trace sql =
+  refresh_env t c;
   let setup () =
     (* build the maintained state and register under [env_m]: no DML can
        slip between the snapshot and the first queued delta *)
@@ -479,7 +336,7 @@ let run_subscribe t session fd last_v ?trace sql =
         in
         let sub =
           {
-            sub_fd = fd;
+            sub_fd = c.fd;
             sub_table = table;
             sub_trace = trace;
             sub_m = Mutex.create ();
@@ -490,41 +347,37 @@ let run_subscribe t session fd last_v ?trace sql =
             sub_inc = inc;
           }
         in
-        let snapshot = Pref_bmo.Incremental.result inc in
         Mutex.protect t.subs_m (fun () ->
-            t.subs <- sub :: t.subs;
-            sync_subs_gauge t);
-        (sub, snapshot))
+            if t.subs_closed then sub.sub_closed <- true
+            else begin
+              t.subs <- sub :: t.subs;
+              sync_subs_gauge t
+            end);
+        (sub, Pref_bmo.Incremental.result inc))
   in
-  (* returns [true] when the connection should keep serving requests
-     (the subscription never started), [false] once the stream ended *)
-  match on_executor t setup with
-  | `Rejected err ->
-    send err;
-    true
-  | `Exn e ->
-    Atomic.incr t.c_queries;
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_queries;
-    Pref_obs.Metrics.incr m_errors;
-    send (error_response ?trace e);
-    true
-  | `Ok (sub, snapshot) ->
-    Atomic.incr t.c_queries;
-    Pref_obs.Metrics.incr m_queries;
+  match on_executor t ?trace setup with
+  | Error rejection -> Frame_server.Reply rejection
+  | exception e ->
+    bump t.c_queries;
+    bump t.c_errors;
+    Frame_server.Reply (Frame_server.error_response ?trace e)
+  | Ok (sub, snapshot) ->
+    bump t.c_queries;
+    let unregister () = unregister_subscriber t sub in
     (try
-       send
+       send c
          (Protocol.Rows
             {
               relation = snapshot;
               flags = Pref_bmo.Engine.complete;
               served = None;
               trace;
-            });
-       stream_subscriber t sub
-     with _ -> ());
-    unregister_subscriber t sub;
-    false
+            })
+     with e ->
+       unregister ();
+       raise e);
+    Frame_server.Stream
+      (fun () -> Fun.protect ~finally:unregister (fun () -> stream_subscriber t sub))
 
 (* ------------------------------------------------------------------ *)
 (* Single-row DML                                                      *)
@@ -535,12 +388,12 @@ let run_subscribe t session fd last_v ?trace sql =
    fan the event out to this table's subscribers — all under [env_m], so
    concurrent DML serializes and every subscriber sees events in the
    same order. *)
-let apply_dml t session last_v op table row_csv =
+let apply_dml t c op table row_csv =
   Mutex.protect t.env_m (fun () ->
       let v = Atomic.get t.env_v in
-      if v <> !last_v then begin
-        last_v := v;
-        Pref_engine.Session.set_env session t.env
+      if v <> !(c.last_v) then begin
+        c.last_v := v;
+        Pref_engine.Session.set_env c.session t.env
       end;
       let table = String.lowercase_ascii table in
       let rel =
@@ -559,43 +412,40 @@ let apply_dml t session last_v op table row_csv =
       let outcome =
         match op with
         | Protocol.Dml_insert ->
-          `Applied ("inserted into", Pref_engine.Session.insert session table row)
-        | Protocol.Dml_delete -> (
-          match Pref_engine.Session.delete session table row with
-          | Some patched -> `Applied ("deleted from", patched)
-          | None -> `No_match table)
+          Some ("inserted into", Pref_engine.Session.insert c.session table row)
+        | Protocol.Dml_delete ->
+          Option.map
+            (fun patched -> ("deleted from", patched))
+            (Pref_engine.Session.delete c.session table row)
       in
-      (match outcome with
-      | `No_match _ -> ()
-      | `Applied _ ->
-        t.env <- Pref_engine.Session.env session;
+      if outcome <> None then begin
+        t.env <- Pref_engine.Session.env c.session;
         let v' = Atomic.get t.env_v + 1 in
         Atomic.set t.env_v v';
-        last_v := v';
+        c.last_v := v';
         let subs = Mutex.protect t.subs_m (fun () -> t.subs) in
         List.iter
           (fun sub ->
             if String.equal sub.sub_table table then
               notify_subscriber t sub op row)
-          subs);
+          subs
+      end;
       (outcome, table))
 
-let run_dml t session fd last_v ?trace op table row_csv =
-  let send resp = Protocol.write_frame fd (Protocol.encode_response resp) in
-  match on_executor t (fun () -> apply_dml t session last_v op table row_csv) with
-  | `Rejected err -> send err
-  | `Exn e ->
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_errors;
-    send (error_response ?trace e)
-  | `Ok (`Applied (verb, patched), table) ->
-    send
+let dml t c trace op table row_csv =
+  match on_executor t ?trace (fun () -> apply_dml t c op table row_csv) with
+  | Error rejection -> Frame_server.Reply rejection
+  | exception e ->
+    bump t.c_errors;
+    Frame_server.Reply (Frame_server.error_response ?trace e)
+  | Ok (Some (verb, patched), table) ->
+    Frame_server.Reply
       (Protocol.Done
          (Printf.sprintf "%s %s (%d cached result%s patched)" verb table
             patched
             (if patched = 1 then "" else "s")))
-  | `Ok (`No_match table, _) ->
-    send
+  | Ok (None, table) ->
+    Frame_server.Reply
       (Protocol.Err
          {
            kind = "exec";
@@ -603,6 +453,10 @@ let run_dml t session fd last_v ?trace op table row_csv =
            message = Printf.sprintf "no matching row in %s" table;
            trace;
          })
+
+(* ------------------------------------------------------------------ *)
+(* QUERY / EXPLAIN / REFINE: evaluated, encoded and written on an
+   executor domain                                                     *)
 
 (* Span attributes stamping the server-side trace with the wire trace
    context, so a client can stitch its trace to the span dumps in the
@@ -617,362 +471,165 @@ let trace_attrs session trace =
   | None -> [])
   @ [ ("session", string_of_int (Pref_engine.Session.id session)) ]
 
-let explain_payload session ~analyze ~json ~deadline ?trace sql =
-  match Pref_engine.Session.explain_within session ~analyze ~deadline sql with
-  | plan ->
-    let body =
-      if json then
-        Pref_obs.Json.to_string (Pref_bmo.Explain.Plan.to_json plan)
-      else String.concat "\n" (Pref_bmo.Explain.Plan.to_text plan)
-    in
-    Protocol.encode_response (Protocol.Explain_resp body)
-  | exception e -> Protocol.encode_response (error_response ?trace e)
+(* [encode deadline] runs on an executor; the deadline is taken at
+   admission, so queue wait draws down the same budget as evaluation. *)
+let evaluate t c trace span encode =
+  refresh_env t c;
+  let deadline =
+    Pref_bmo.Engine.deadline_of (Pref_engine.Session.config c.session)
+  in
+  let run () =
+    Protocol.write_frame c.fd
+      (Pref_obs.Span.with_span span ~attrs:(trace_attrs c.session trace)
+         (fun () -> encode deadline))
+  in
+  match on_executor t ?trace run with
+  | Ok () -> Frame_server.Sent
+  | Error rejection -> Frame_server.Reply rejection
 
-let run_query t session fd ?trace sql =
-  let deadline = Pref_bmo.Engine.deadline_of (Pref_engine.Session.config session) in
-  submit_and_wait t fd ?trace @@ fun () ->
-  Pref_obs.Span.with_span "server.query" ~attrs:(trace_attrs session trace)
-  @@ fun () ->
-  (* a QUERY whose statement starts with EXPLAIN answers with the plan
-     (text rendering) instead of rows *)
-  match Pref_sql.Parser.explain_prefix sql with
-  | Some (analyze, rest) ->
-    explain_payload session ~analyze ~json:false ~deadline ?trace rest
-  | None -> (
-    match Pref_engine.Session.run_within session ~deadline sql with
-    | result ->
-      Atomic.incr t.c_queries;
-      Pref_obs.Metrics.incr m_queries;
-      let flags = result.Exec.flags in
-      if flags.Pref_bmo.Engine.partial then begin
-        Atomic.incr t.c_degraded;
-        Pref_obs.Metrics.incr m_degraded
-      end;
-      if Pref_bmo.Engine.expired deadline then begin
-        Atomic.incr t.c_deadline;
-        Pref_obs.Metrics.incr m_deadline
-      end;
-      if flags.Pref_bmo.Engine.truncated then begin
-        Atomic.incr t.c_truncated;
-        Pref_obs.Metrics.incr m_truncated
-      end;
-      Protocol.encode_response
-        (Protocol.Rows
-           { relation = result.Exec.relation; flags; served = None; trace })
-    | exception e ->
-      Atomic.incr t.c_queries;
-      Atomic.incr t.c_errors;
-      Pref_obs.Metrics.incr m_queries;
-      Pref_obs.Metrics.incr m_errors;
-      Protocol.encode_response (error_response ?trace e))
-
-let run_explain t session fd ~analyze ~json ?trace sql =
-  let deadline = Pref_bmo.Engine.deadline_of (Pref_engine.Session.config session) in
-  submit_and_wait t fd ?trace @@ fun () ->
-  Pref_obs.Span.with_span "server.explain" ~attrs:(trace_attrs session trace)
-  @@ fun () -> explain_payload session ~analyze ~json ~deadline ?trace sql
-
-let run_refine t session fd ?trace term =
-  let deadline = Pref_bmo.Engine.deadline_of (Pref_engine.Session.config session) in
-  submit_and_wait t fd ?trace @@ fun () ->
-  Pref_obs.Span.with_span "server.refine" ~attrs:(trace_attrs session trace)
-  @@ fun () ->
-  match Pref_engine.Session.refine_within session ~deadline term with
-  | outcome ->
-    Atomic.incr t.c_queries;
-    Pref_obs.Metrics.incr m_queries;
-    let result = outcome.Pref_engine.Revise.o_result in
-    let flags = result.Exec.flags in
-    if flags.Pref_bmo.Engine.partial then begin
-      Atomic.incr t.c_degraded;
-      Pref_obs.Metrics.incr m_degraded
-    end;
-    if flags.Pref_bmo.Engine.truncated then begin
-      Atomic.incr t.c_truncated;
-      Pref_obs.Metrics.incr m_truncated
-    end;
+(* Count one statement answered with rows, and encode the answer. *)
+let rows t trace deadline run =
+  bump t.c_queries;
+  match run () with
+  | (r : Exec.result) ->
+    let flags = r.Exec.flags in
+    if flags.Pref_bmo.Engine.partial then bump t.c_degraded;
+    if Pref_bmo.Engine.expired deadline then bump t.c_deadline;
+    if flags.Pref_bmo.Engine.truncated then bump t.c_truncated;
     Protocol.encode_response
-      (Protocol.Rows { relation = result.Exec.relation; flags; served = None; trace })
+      (Protocol.Rows { relation = r.Exec.relation; flags; served = None; trace })
   | exception e ->
-    Atomic.incr t.c_queries;
-    Atomic.incr t.c_errors;
-    Pref_obs.Metrics.incr m_queries;
-    Pref_obs.Metrics.incr m_errors;
-    Protocol.encode_response (error_response ?trace e)
+    bump t.c_errors;
+    Protocol.encode_response (Frame_server.error_response ?trace e)
 
-exception Drain
+let query t c trace sql =
+  evaluate t c trace "server.query" (fun deadline ->
+      rows t trace deadline
+        (fun () -> Pref_engine.Session.run_within c.session ~deadline sql))
 
-let handle_connection t fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
-  let session =
-    Pref_engine.Session.create ~registry:t.registry
-      ~config:t.cfg.session_config ~env:t.env ()
-  in
-  let send resp = Protocol.write_frame fd (Protocol.encode_response resp) in
-  let on_wait () = if draining t then raise Drain in
-  (* the environment version this session last snapshot — see refresh_env *)
-  let last_v = ref (Atomic.get t.env_v) in
-  let rec loop () =
-    match Protocol.read_frame ~on_wait fd with
-    | None -> ()
-    | Some payload ->
-      let continue =
-        match Protocol.parse_request payload with
-        | Error msg ->
-          send
-            (Protocol.Err
-               { kind = "proto"; retriable = false; message = msg; trace = None });
-          true
-        | Ok (Protocol.Query { sql; trace }) ->
-          refresh_env t session last_v;
-          run_query t session fd ?trace sql;
-          true
-        | Ok (Protocol.Prepare { name; sql; trace }) ->
-          (match Pref_engine.Session.prepare session ~name sql with
-          | () -> send (Protocol.Done ("prepared " ^ name))
-          | exception e -> send (error_response ?trace e));
-          true
-        | Ok (Protocol.Explain { sql; analyze; json; trace }) ->
-          refresh_env t session last_v;
-          run_explain t session fd ~analyze ~json ?trace sql;
-          true
-        | Ok (Protocol.Refine { term; trace }) ->
-          refresh_env t session last_v;
-          run_refine t session fd ?trace term;
-          true
-        | Ok (Protocol.Dml { op; table; row; trace }) ->
-          run_dml t session fd last_v ?trace op table row;
-          true
-        | Ok (Protocol.Subscribe { sql; trace }) ->
-          (* on success the connection is a one-way delta stream from
-             here on: serve it until the peer or the server closes it *)
-          run_subscribe t session fd last_v ?trace sql
-        | Ok (Protocol.Set (key, value)) ->
-          (match Pref_engine.Session.set session ~key ~value with
-          | Ok line -> send (Protocol.Done line)
-          | Error msg ->
-            send
-              (Protocol.Err
-                 { kind = "set"; retriable = false; message = msg; trace = None }));
-          true
-        | Ok Protocol.Stats ->
-          send
-            (Protocol.Stats_resp
-               (List.map (fun (k, v) -> (k, string_of_int v)) (counters t)
-               @ Pref_engine.Session.stats_lines session
-               @ histogram_lines ()));
-          true
-        | Ok (Protocol.Metrics { json }) ->
-          (* rendering the registry is cheap — answer on the connection
-             thread rather than queueing behind queries *)
-          let body =
-            if json then Pref_obs.Json.to_string (Pref_obs.Export.to_json ())
-            else Pref_obs.Export.prometheus ()
-          in
-          send (Protocol.Metrics_resp body);
-          true
-        | Ok Protocol.Ping ->
-          send Protocol.Pong;
-          true
-      in
-      if continue then loop ()
-  in
-  try loop () with
-  | Drain | Protocol.Framing_error _ | Unix.Unix_error _ | Sys_error _ -> ()
+let refine t c trace term =
+  evaluate t c trace "server.refine" (fun deadline ->
+      rows t trace deadline
+        (fun () ->
+          (Pref_engine.Session.refine_within c.session ~deadline term)
+            .Pref_engine.Revise.o_result))
 
-let spawn_connection t fd =
-  (* register the connection before spawning, so the thread's cleanup can
-     never race its own registration *)
-  let id = Atomic.fetch_and_add t.c_next_id 1 in
-  Mutex.protect t.conns_m (fun () ->
-      t.conns <- (id, fd) :: t.conns;
-      Pref_obs.Metrics.set g_conns (float_of_int (List.length t.conns)));
-  let thread =
-    Thread.create
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.protect t.conns_m (fun () ->
-                t.conns <- List.remove_assoc id t.conns;
-                Pref_obs.Metrics.set g_conns
-                  (float_of_int (List.length t.conns)));
-            (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
-            try Unix.close fd with _ -> ())
-          (fun () -> handle_connection t fd))
-      ()
-  in
-  Mutex.protect t.conns_m (fun () ->
-      t.conn_threads <- (id, thread) :: t.conn_threads)
+let explain t c ~analyze ~json trace sql =
+  evaluate t c trace "server.explain" (fun deadline ->
+      Protocol.encode_response
+        (match
+           Pref_engine.Session.explain_within c.session ~analyze ~deadline sql
+         with
+        | plan ->
+          Protocol.Explain_resp
+            (if json then
+               Pref_obs.Json.to_string (Pref_bmo.Explain.Plan.to_json plan)
+             else String.concat "\n" (Pref_bmo.Explain.Plan.to_text plan))
+        | exception e -> Frame_server.error_response ?trace e))
 
-let accept_loop t () =
-  Unix.setsockopt_float t.listen_fd Unix.SO_RCVTIMEO 0.25;
-  let rec loop () =
-    if draining t || Atomic.get t.stop_requested then ()
-    else
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        loop ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        Atomic.incr t.c_accepted;
-        let active = Mutex.protect t.conns_m (fun () -> List.length t.conns) in
-        if active >= t.cfg.max_connections then begin
-          Atomic.incr t.c_conn_rejected;
-          (try
-             Protocol.write_frame fd
-               (Protocol.encode_response
-                  (Protocol.Err
-                     {
-                       kind = "busy";
-                       retriable = true;
-                       message = "server at max connections; retry";
-                       trace = None;
-                     }))
-           with _ -> ());
-          (try Unix.close fd with _ -> ())
-        end
-        else spawn_connection t fd;
-        loop ()
-  in
-  loop ()
+(* ------------------------------------------------------------------ *)
+(* STATS                                                               *)
+
+let counters t =
+  let queued, running = Mutex.protect t.m (fun () -> (t.queued, t.running)) in
+  Frame_server.counters t.fs
+  @ [
+      ("server.queue_depth", queued);
+      ("server.running", running);
+      ("server.inflight", queued + running);
+      ( "server.subscriptions",
+        Mutex.protect t.subs_m (fun () -> List.length t.subs) );
+      ("server.slow_queries", Pref_engine.Slowlog.count ());
+    ]
+
+(* Histogram summaries for the extended STATS response: count, sum and
+   interpolated p50/p90/p99 per non-empty histogram. Only meaningful
+   while telemetry is on (otherwise the registry stays at zero). *)
+let histogram_lines () =
+  List.concat_map
+    (fun (name, s) ->
+      [
+        (name ^ ".count", string_of_int s.Pref_obs.Metrics.s_count);
+        (name ^ ".sum", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_sum);
+        (name ^ ".p50", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p50);
+        (name ^ ".p90", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p90);
+        (name ^ ".p99", Printf.sprintf "%.6g" s.Pref_obs.Metrics.s_p99);
+      ])
+    (Pref_obs.Metrics.summaries ())
+  |> List.map (fun (k, v) -> ("hist." ^ k, v))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+let backend t =
+  {
+    Frame_server.open_conn =
+      (fun fd ->
+        {
+          fd;
+          session =
+            Pref_engine.Session.create ~registry:t.registry
+              ~config:t.cfg.session_config ~env:t.env ();
+          last_v = ref (Atomic.get t.env_v);
+        });
+    close_conn = ignore;
+    query = query t;
+    explain = explain t;
+    prepare = (fun c ~name sql -> Pref_engine.Session.prepare c.session ~name sql);
+    refine = refine t;
+    dml = dml t;
+    subscribe = subscribe t;
+    set = (fun c ~key ~value -> Pref_engine.Session.set c.session ~key ~value);
+    stats =
+      (fun c ->
+        List.map (fun (k, v) -> (k, string_of_int v)) (counters t)
+        @ Pref_engine.Session.stats_lines c.session
+        @ histogram_lines ());
+  }
+
 let start ?(config = default_config) ?(registry = Translate.default_registry)
     ~env () =
-  (* a peer vanishing mid-response must surface as EPIPE, not kill the
-     process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
+  let fs =
+    Frame_server.bind ~name:"server" ~host:config.host ~port:config.port
+      ~max_connections:config.max_connections ()
   in
+  let counter = Frame_server.counter fs in
   let t =
     {
       cfg = config;
+      fs;
       registry;
       env;
       env_m = Mutex.create ();
       env_v = Atomic.make 0;
-      listen_fd;
-      bound_port;
       m = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
-      stopped_c = Condition.create ();
       queue = Queue.create ();
       queued = 0;
       running = 0;
-      draining = false;
       exec_stop = false;
-      drain_started = false;
-      stopped = false;
-      stop_requested = Atomic.make false;
       workers = [||];
-      accept_thread = None;
-      conns_m = Mutex.create ();
-      conns = [];
-      conn_threads = [];
       subs_m = Mutex.create ();
       subs = [];
-      c_accepted = Atomic.make 0;
-      c_conn_rejected = Atomic.make 0;
-      c_queries = Atomic.make 0;
-      c_busy = Atomic.make 0;
-      c_drain_rej = Atomic.make 0;
-      c_degraded = Atomic.make 0;
-      c_deadline = Atomic.make 0;
-      c_truncated = Atomic.make 0;
-      c_errors = Atomic.make 0;
-      c_deltas = Atomic.make 0;
-      c_resyncs = Atomic.make 0;
-      c_next_id = Atomic.make 0;
+      subs_closed = false;
+      c_queries = counter "queries";
+      c_busy = counter "busy_rejected";
+      c_drain_rej = counter "draining_rejected";
+      c_degraded = counter "degraded";
+      c_deadline = counter "deadline_exceeded";
+      c_truncated = counter "truncated";
+      c_errors = counter "errors";
+      c_deltas = counter "deltas";
+      c_resyncs = counter "subscription_resyncs";
     }
   in
   t.workers <- Array.init (max 1 config.executors) (fun _ -> Domain.spawn (worker t));
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
+  Frame_server.serve fs
+    ~on_drain:(fun () -> close_subscriptions t)
+    ~on_stop:(fun () -> stop_executors t)
+    (Frame_server.frames fs (backend t));
   t
 
-let request_stop t = Atomic.set t.stop_requested true
-
-let stop t =
-  let first =
-    Mutex.protect t.m (fun () ->
-        if t.drain_started then false
-        else begin
-          t.drain_started <- true;
-          t.draining <- true;
-          true
-        end)
-  in
-  if not first then
-    (* someone else is (or finished) draining: wait it out *)
-    Mutex.protect t.m (fun () ->
-        while not t.stopped do
-          Condition.wait t.stopped_c t.m
-        done)
-  else begin
-    (* 1. stop accepting; the accept loop polls [draining] on its timeout *)
-    Option.iter Thread.join t.accept_thread;
-    t.accept_thread <- None;
-    (try Unix.close t.listen_fd with _ -> ());
-    (* 2. let every admitted query finish and flush its response; new
-       queries are already answered with retriable draining errors *)
-    Mutex.lock t.m;
-    while t.queued + t.running > 0 do
-      Condition.wait t.idle t.m
-    done;
-    Mutex.unlock t.m;
-    (* 3. connection threads notice [draining] on their read timeout and
-       exit, closing their own sockets; nudge blocked reads via shutdown *)
-    let conns = Mutex.protect t.conns_m (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      conns;
-    (* streaming subscribers block on their queue condition, not the
-       socket: close them explicitly so their threads can be joined *)
-    let subs = Mutex.protect t.subs_m (fun () -> t.subs) in
-    List.iter
-      (fun sub ->
-        Mutex.protect sub.sub_m (fun () ->
-            sub.sub_closed <- true;
-            Condition.broadcast sub.sub_c))
-      subs;
-    let threads = Mutex.protect t.conns_m (fun () -> t.conn_threads) in
-    List.iter (fun (_, th) -> Thread.join th) threads;
-    Mutex.protect t.conns_m (fun () -> t.conn_threads <- []);
-    (* 4. release the executor domains *)
-    Mutex.lock t.m;
-    t.exec_stop <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.m;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||];
-    Mutex.protect t.m (fun () ->
-        t.stopped <- true;
-        Condition.broadcast t.stopped_c)
-  end
-
-let wait t =
-  let rec poll () =
-    let stopped = Mutex.protect t.m (fun () -> t.stopped) in
-    if stopped then ()
-    else if Atomic.get t.stop_requested then stop t
-    else begin
-      Thread.delay 0.1;
-      poll ()
-    end
-  in
-  poll ()
+let stop t = Frame_server.stop t.fs
+let request_stop t = Frame_server.request_stop t.fs
+let wait t = Frame_server.wait t.fs

@@ -1,21 +1,26 @@
-(** The concurrent Preference SQL query server.
+(** The concurrent Preference SQL query server: the local-sessions
+    backend of the {!Frame_server} spine.
 
-    Architecture: one accept thread and one lightweight thread per
-    connection handle the wire protocol; query evaluation (parse →
-    translate → BMO → encode) runs on a fixed pool of executor
-    {e domains}, so concurrent clients scale across cores while
-    connection threads only block on I/O. Each connection owns a
+    The spine owns the listener: accept, the [max_connections] limit
+    (excess accepts get a retriable [ERR busy] and a close), one thread
+    per connection, the frame loop, [PING]/[METRICS], the exception →
+    [ERR] mapping and the drain protocol. This module supplies what
+    answers the requests: each connection owns a
     {!Pref_engine.Session.t}; all sessions share the table environment
-    and the process-wide result cache (a session opts out with
-    [SET cache off]).
+    (single-row DML writes it back under a lock and fans the change out
+    to [SUBSCRIBE] streams) and the process-wide result cache (a session
+    opts out with [SET cache off]). QUERY, EXPLAIN, REFINE, DML and the
+    SUBSCRIBE setup run on a fixed pool of executor {e domains}, so
+    concurrent clients scale across cores while connection threads only
+    block on I/O; QUERY / EXPLAIN / REFINE answers are also encoded and
+    written there.
 
     {2 Admission control}
 
-    At most [max_inflight] queries are admitted (queued or running) at
-    any time; a QUERY over that bound is rejected immediately with a
-    retriable [ERR busy] frame instead of queueing unboundedly. At most
-    [max_connections] connections are served; excess accepts get an
-    [ERR busy] and a close.
+    At most [max_inflight] executor jobs are admitted (queued or
+    running) at any time; a request over that bound is rejected
+    immediately with a retriable [ERR busy] frame instead of queueing
+    unboundedly.
 
     {2 Deadlines}
 
@@ -27,11 +32,13 @@
 
     {2 Graceful drain}
 
-    {!stop} stops accepting, answers new queries with a retriable
-    [ERR draining], lets every in-flight query complete and flush its
-    response, then closes the connections and joins all threads and
-    executor domains. Idempotent and thread-safe (callable from a signal
-    handler's context via {!request_stop}). *)
+    {!stop} stops accepting, answers new executor work with a retriable
+    [ERR draining], ends the subscription streams (shutting down the
+    socket of one blocked on a subscriber that stopped reading), lets
+    every connection answer the request it has read, then closes the
+    connections and joins all threads and executor domains. Idempotent
+    and thread-safe (callable from a signal handler's context via
+    {!request_stop}). *)
 
 type config = {
   host : string;  (** bind address, default 127.0.0.1 *)

@@ -78,6 +78,8 @@ for i in 0 1 2; do
   backend_pids[$i]=$pid
 done
 ref_pid=$(start_server "$workdir/reference.log" "cars=$workdir/cars.csv")
+# start_server ran in command substitutions: record the pids here
+pids+=("${backend_pids[@]}" "$ref_pid")
 for i in 0 1 2; do
   backend_ports[$i]=$(wait_port "$workdir/backend$i.log" "${backend_pids[$i]}")
 done

@@ -143,6 +143,23 @@ let test_refine_survives_dml () =
        false
      with Pref_sql.Exec.Error _ -> true)
 
+(* deleting a seed row drops only the seed: the statement stays armed
+   and the next refine runs cold, as the router's re-issued statement
+   does *)
+let test_refine_after_seed_delete () =
+  let session = fresh_session () in
+  ignore (Session.run session seed_sql);
+  (match Session.delete session "cars" (car (9_000, 90, 90_000)) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "delete missed a present row");
+  let sql = "SELECT * FROM cars PREFERRING LOWEST(price) PRIOR TO HIGHEST(power)" in
+  let o = Session.refine session "LOWEST(price) PRIOR TO HIGHEST(power)" in
+  check_str "cold route" "cold" o.Revise.o_plan;
+  check "kind still classified" true (o.Revise.o_kind = Revise.Prior_suffix);
+  check "cold refine is exact" true
+    (Relation.equal_as_sets o.Revise.o_result.Pref_sql.Exec.relation
+       (cold session sql))
+
 let test_refine_explain () =
   let session = fresh_session () in
   ignore (Session.run session seed_sql);
@@ -244,6 +261,8 @@ let suite =
     Gen.quick "revise: session routes" test_refine_routes;
     Gen.quick "revise: refine requires a seed" test_refine_requires_seed;
     Gen.quick "revise: seed survives DML" test_refine_survives_dml;
+    Gen.quick "revise: refine after deleting a seed row runs cold"
+      test_refine_after_seed_delete;
     Gen.quick "revise: EXPLAIN shows the refine node" test_refine_explain;
   ]
   @ Gen.qsuite [ prop_refine_matches_cold ]

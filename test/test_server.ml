@@ -545,6 +545,50 @@ let test_metrics_http () =
   check "body has the counter" true (contains resp "test_http_ping_total");
   check "404s unknown paths" true (contains (fetch "/nope") "404")
 
+(* scrapes are never turned away: eight connections open at once all
+   get an HTTP answer *)
+let test_metrics_http_concurrent () =
+  Pref_obs.Control.set_enabled true;
+  Fun.protect ~finally:(fun () -> Pref_obs.Control.set_enabled false)
+  @@ fun () ->
+  let m = Metrics_http.start ~host ~port:0 () in
+  Fun.protect ~finally:(fun () -> Metrics_http.stop m) @@ fun () ->
+  let fds =
+    List.init 8 (fun _ ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_of_string host, Metrics_http.port m));
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+        fd)
+  in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with _ -> ()) fds)
+  @@ fun () ->
+  let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+  List.iter
+    (fun fd -> ignore (Unix.write_substring fd req 0 (String.length req)))
+    fds;
+  let read_all fd =
+    let buf = Buffer.create 1024 in
+    let chunk = Bytes.create 1024 in
+    let rec go () =
+      match Unix.read fd chunk 0 1024 with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    in
+    go ()
+  in
+  List.iteri
+    (fun i fd ->
+      let resp = read_all fd in
+      check (Printf.sprintf "scrape %d answered 200" i) true
+        (contains resp "HTTP/1.0 200 OK");
+      check "the listener adds no metrics of its own" false
+        (contains resp "metrics_http"))
+    fds
+
 (* ------------------------------------------------------------------ *)
 (* Changing preferences: REFINE, single-row DML, SUBSCRIBE             *)
 
@@ -581,6 +625,35 @@ let test_refine_wire () =
                     "SELECT * FROM sky PREFERRING (LOWEST(d0) PRIOR TO \
                      LOWEST(d1)) AND HIGHEST(d2)"))
           | Error e -> Alcotest.fail e))
+
+(* another connection's DML drops this connection's revision seed but
+   keeps its statement: the REFINE runs cold over the new table, as the
+   router's re-issued statement does *)
+let test_refine_after_other_dml () =
+  with_server (fun server ->
+      with_client server (fun a ->
+          with_client server (fun b ->
+              (match Client.query a "SELECT * FROM sky PREFERRING LOWEST(d0)" with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail e);
+              (match Client.insert b ~table:"sky" "-1.0,0.5,0.5" with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail e);
+              let sky' =
+                Relation.make (Relation.schema sky)
+                  (Relation.rows sky
+                  @ [ Tuple.make [ Value.Float (-1.0); Value.Float 0.5; Value.Float 0.5 ] ])
+              in
+              let cold =
+                (Pref_sql.Exec.run [ ("sky", sky') ]
+                   "SELECT * FROM sky PREFERRING LOWEST(d0) PRIOR TO LOWEST(d1)")
+                  .Pref_sql.Exec.relation
+              in
+              match Client.refine a "LOWEST(d0) PRIOR TO LOWEST(d1)" with
+              | Ok (rel, _) ->
+                check "refine after a concurrent insert = cold run" true
+                  (Relation.equal_as_sets rel cold)
+              | Error e -> Alcotest.failf "refine after another connection's DML: %s" e)))
 
 let feed_schema = Schema.make [ ("k", Value.TInt); ("pad", Value.TStr) ]
 let feed_row k pad = Tuple.make [ Value.Int k; Value.Str pad ]
@@ -760,7 +833,11 @@ let suite =
     Alcotest.test_case "server: METRICS wire op" `Quick test_metrics_op;
     Alcotest.test_case "server: slow-query log" `Quick test_slowlog;
     Alcotest.test_case "server: metrics HTTP listener" `Quick test_metrics_http;
+    Alcotest.test_case "server: metrics HTTP serves concurrent scrapes" `Quick
+      test_metrics_http_concurrent;
     Alcotest.test_case "server: REFINE over the wire" `Quick test_refine_wire;
+    Alcotest.test_case "server: REFINE after another connection's DML" `Quick
+      test_refine_after_other_dml;
     Alcotest.test_case "server: DML over the wire" `Quick test_dml_wire;
     Alcotest.test_case "server: SUBSCRIBE delta stream" `Quick
       test_subscribe_stream;
