@@ -578,13 +578,21 @@ let b3_wall () =
               let dom = Dominance.of_pref schema p in
               let rows = Relation.rows rel in
               let run_naive = n <= 4000 in
-              let r_bnl, t_bnl = wall (fun () -> Bnl.maxima dom rows) in
-              let key = Sfs.sum_key schema attrs ~maximize:true in
-              let r_sfs, t_sfs = wall (fun () -> Sfs.maxima ~key dom rows) in
-              let dims_fn = Dnc.dims_of schema attrs ~maximize:true in
-              let r_dnc, t_dnc = wall (fun () -> Dnc.maxima ~dims:dims_fn rows) in
+              let kernel plan =
+                wall (fun () -> Relation.rows (Planner.execute schema p rel plan))
+              in
+              let r_bnl, t_bnl = kernel Planner.Plan_bnl in
+              let r_sfs, t_sfs =
+                kernel (Planner.Plan_sfs { attrs; maximize = true })
+              in
+              let r_dnc, t_dnc =
+                kernel (Planner.Plan_dnc { attrs; maximize = true })
+              in
               let r_bbs, t_bbs =
-                wall (fun () -> fst (Bbs.maxima ~dims:dims_fn rows))
+                wall (fun () ->
+                    fst
+                      (Bbs.maxima
+                         (Dominance.floats schema p (Array.of_list rows))))
               in
               let t_naive_str, naive_ok =
                 if run_naive then begin
@@ -601,7 +609,7 @@ let b3_wall () =
                 naive_ok
                 && List.length r_bnl = List.length r_sfs
                 && List.length r_bnl = List.length r_dnc
-                && List.length r_bnl = List.length r_bbs
+                && List.length r_bnl = Array.length r_bbs
               in
               if not agree then naive_beaten := false;
               Fmt.pr
@@ -630,22 +638,21 @@ let b3_bechamel () =
         let p = skyline_pref 3 in
         let dom = Dominance.of_pref schema p in
         let rows = Relation.rows rel in
-        let key = Sfs.sum_key schema attrs ~maximize:true in
-        let dims_fn = Dnc.dims_of schema attrs ~maximize:true in
+        let kernel plan =
+          Staged.stage (fun () -> ignore (Planner.execute schema p rel plan))
+        in
         let fam = Pref_workload.Synthetic.correlation_to_string family in
         [
           Test.make
             ~name:(fam ^ "/naive")
             (Staged.stage (fun () -> ignore (Naive.maxima dom rows)));
-          Test.make
-            ~name:(fam ^ "/bnl")
-            (Staged.stage (fun () -> ignore (Bnl.maxima dom rows)));
+          Test.make ~name:(fam ^ "/bnl") (kernel Planner.Plan_bnl);
           Test.make
             ~name:(fam ^ "/sfs")
-            (Staged.stage (fun () -> ignore (Sfs.maxima ~key dom rows)));
+            (kernel (Planner.Plan_sfs { attrs; maximize = true }));
           Test.make
             ~name:(fam ^ "/dnc")
-            (Staged.stage (fun () -> ignore (Dnc.maxima ~dims:dims_fn rows)));
+            (kernel (Planner.Plan_dnc { attrs; maximize = true }));
         ])
       Pref_workload.Synthetic.[ Independent; Correlated; Anti_correlated ]
   in
@@ -779,20 +786,19 @@ let b8 () =
   in
   let schema = Relation.schema rel in
   let p = skyline_pref 3 in
-  let dom = Dominance.of_pref schema p in
-  let rows = Relation.rows rel in
   let open Bechamel in
   let results =
     bechamel_run
       [
         Test.make ~name:"raw-maxima"
-          (Staged.stage (fun () -> ignore (Bnl.maxima dom rows)));
-        Test.make ~name:"query-obs-off"
           (Staged.stage (fun () -> ignore (Bnl.query schema p rel)));
+        Test.make ~name:"query-obs-off"
+          (Staged.stage (fun () ->
+               ignore (Planner.execute schema p rel Planner.Plan_bnl)));
         Test.make ~name:"query-obs-on"
           (Staged.stage (fun () ->
                Pref_obs.Control.with_enabled true (fun () ->
-                   ignore (Bnl.query schema p rel))));
+                   ignore (Planner.execute schema p rel Planner.Plan_bnl))));
       ]
   in
   List.iter (fun (name, ns) -> Fmt.pr "  %-28s %a/run@." name pp_ns ns) results;
@@ -821,7 +827,7 @@ let b8 () =
   (* exercise the enabled path once more so BENCH_JSON carries a populated
      metrics registry *)
   Pref_obs.Control.with_enabled true (fun () ->
-      ignore (Bnl.query schema p rel);
+      ignore (Planner.execute schema p rel Planner.Plan_bnl);
       ignore (Query.sigma ~algorithm:Query.Alg_auto schema p rel))
 
 (* ------------------------------------------------------------------ *)
@@ -923,11 +929,13 @@ let b9 () =
       let p = skyline_pref d in
       let r_seq, t_seq = wall (fun () -> Bnl.query schema p rel) in
       let r_dnc, t_dnc =
-        wall (fun () -> Parallel.query ~domains schema p rel)
+        wall (fun () ->
+            Planner.execute schema p rel (Planner.Plan_par_dnc { domains }))
       in
       let r_sfs, t_sfs =
         wall (fun () ->
-            Parallel.query_sfs ~domains schema ~attrs ~maximize:true p rel)
+            Planner.execute schema p rel
+              (Planner.Plan_par_sfs { attrs; maximize = true; domains }))
       in
       let eq =
         Relation.equal_as_sets r_seq r_dnc

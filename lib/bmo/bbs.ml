@@ -1,5 +1,3 @@
-open Pref_relation
-
 (* Branch & bound skyline over a kd-tree (BBS-style, adapted from R-trees to
    kd bounding boxes).  All coordinates are maximised.
 
@@ -15,7 +13,7 @@ type stats = {
   pruned_subtrees : int;  (** subtrees discarded by one dominance test *)
 }
 
-let dominates = Dnc.dominates
+let dominates = Dominance.floats_dominate
 
 let sum = Array.fold_left ( +. ) 0.
 
@@ -58,36 +56,17 @@ let skyline_indices tree =
     { nodes_visited = !nodes; points_tested = !tested; pruned_subtrees = !pruned }
   )
 
-let maxima ~dims rows =
-  match rows with
-  | [] -> ([], { nodes_visited = 0; points_tested = 0; pruned_subtrees = 0 })
-  | _ ->
-    let arr = Array.of_list rows in
-    let points = Array.map dims arr in
-    let tree = Kdtree.build points in
-    let idxs, stats = skyline_indices tree in
-    (* restore input order, keeping duplicates of maximal vectors *)
-    let keep = Array.make (Array.length arr) false in
+let maxima (points : float array array) =
+  if Array.length points = 0 then
+    ([||], { nodes_visited = 0; points_tested = 0; pruned_subtrees = 0 })
+  else begin
+    let idxs, stats = skyline_indices (Kdtree.build points) in
+    (* input order, keeping duplicates of maximal vectors: equal vectors
+       never dominate each other, so every duplicate of a skyline vector
+       was itself reported by the traversal *)
+    let keep = Array.make (Array.length points) false in
     List.iter (fun i -> keep.(i) <- true) idxs;
-    (* equal vectors never dominate each other, so every duplicate of a
-       skyline vector was itself reported by the traversal *)
-    let result =
-      List.filteri (fun i _ -> keep.(i)) (Array.to_list arr)
-    in
-    (result, stats)
-
-let query schema ~attrs ~maximize rel =
-  Pref_obs.Span.with_span "bmo.bbs" (fun () ->
-      let dims = Dnc.dims_of schema attrs ~maximize in
-      let rows = Relation.rows rel in
-      let (best, stats), ms =
-        Pref_obs.Span.timed (fun () -> maxima ~dims rows)
-      in
-      if Pref_obs.Control.is_enabled () then begin
-        Obs.record_query ~algorithm:"bbs" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(-1) ~ms;
-        Pref_obs.Span.add_attr "pruned_subtrees"
-          (string_of_int stats.pruned_subtrees);
-        Pref_obs.Span.add_attr "nodes_visited" (string_of_int stats.nodes_visited)
-      end;
-      (Relation.make (Relation.schema rel) best, stats))
+    ( Array.of_list
+        (List.filter (Array.get keep) (List.init (Array.length points) Fun.id)),
+      stats )
+  end

@@ -3,10 +3,10 @@
     Realises the paper's roadmap item on index methods for efficient
     'better-than' testing: per-node bounding boxes let one dominance test
     discard a whole subtree, and the best-first order makes every reported
-    point final (progressive delivery). Works for Pareto accumulations of
-    same-direction numeric chains, like {!Dnc}. *)
-
-open Pref_relation
+    point final (progressive delivery). Runs on the float form
+    ({!Dominance.floats}), like {!Dnc}. Best-first order is by coordinate
+    sum, so points with NULL ([neg_infinity]) coordinates tie; the kernel
+    is exact on NULL-free data. *)
 
 type stats = {
   nodes_visited : int;
@@ -14,11 +14,6 @@ type stats = {
   pruned_subtrees : int;
 }
 
-val maxima :
-  dims:(Tuple.t -> float array) -> Tuple.t list -> Tuple.t list * stats
-(** Skyline under vector dominance of [dims] (all coordinates maximised);
-    input order preserved. *)
-
-val query :
-  Schema.t -> attrs:string list -> maximize:bool -> Relation.t ->
-  Relation.t * stats
+val maxima : float array array -> int array * stats
+(** Indices of the skyline under {!Dominance.floats_dominate}, in input
+    order. *)

@@ -1,201 +1,78 @@
 open Pref_relation
 
-(* Window of mutually undominated tuples seen so far.  A candidate dominated
-   by a window tuple is discarded; window tuples dominated by the candidate
-   are evicted.  With unbounded memory no temporary file is needed, so a
-   single pass suffices (the in-memory special case of block-nested-loops
-   from the skyline paper).
+(* Window of mutually undominated points seen so far.  With unbounded
+   memory no temporary file is needed, so a single pass suffices (the
+   in-memory special case of block-nested-loops from the skyline paper).
 
-   The window is a mutable array, not a list: the scan is two flat loops
-   (probe for a dominator, then compact out evicted tuples in place), so the
-   pass allocates nothing per candidate and survives windows of any size —
-   the former recursive scan kept one stack frame per window tuple and
-   overflowed on large anti-chains. *)
+   The window is two parallel flat arrays — the points, read by every
+   test, and their input indices — so the scan is two flat loops (probe
+   for a dominator, then compact out evicted points in place) that
+   allocate nothing per candidate. The arrays start small and double when
+   full: most windows stay tiny, so the pass does not pay for two
+   input-sized arrays. *)
 
-let maxima (dom : Dominance.t) rows =
-  match rows with
-  | [] -> []
-  | first :: _ ->
-    let arr = Array.of_list rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
-      done;
-      if not !dominated then begin
-        let j = ref 0 in
-        for i = 0 to !size - 1 do
-          let w = Array.unsafe_get win i in
-          if not (dom t w) then begin
-            Array.unsafe_set win !j w;
-            incr j
-          end
-        done;
-        win.(!j) <- t;
-        size := !j + 1
-      end
-    done;
-    Array.to_list (Array.sub win 0 !size)
+let initial_window = 64
 
-(* Deadline-aware variant of [maxima]: identical window pass, but the
-   monotonic clock is polled every [deadline_stride] candidates and the
-   scan stops — returning the window built so far — once the budget is
-   spent.  The window at any candidate boundary is the exact BMO set of
-   the scanned prefix, so a degraded result is still sound, merely
-   incomplete. *)
+type run = { tests : int; peak : int; timed_out : bool }
 
 let deadline_stride = 128
 
-let maxima_deadline ~deadline (dom : Dominance.t) rows =
-  if not (Engine.has_deadline deadline) then (maxima dom rows, false)
-  else if Engine.expired deadline then ([], true)
-  else
-    match rows with
-    | [] -> ([], false)
-    | first :: _ ->
-      let arr = Array.of_list rows in
-      let n = Array.length arr in
-      let win = Array.make n first in
-      let size = ref 0 in
-      let k = ref 0 in
-      let timed_out = ref false in
-      while !k < n && not !timed_out do
-        if !k land (deadline_stride - 1) = 0 && Engine.expired deadline then
-          timed_out := true
-        else begin
-          let t = Array.unsafe_get arr !k in
-          let dominated = ref false in
-          let i = ref 0 in
-          while (not !dominated) && !i < !size do
-            if dom (Array.unsafe_get win !i) t then dominated := true
-            else incr i
-          done;
-          if not !dominated then begin
-            let j = ref 0 in
-            for i = 0 to !size - 1 do
-              let w = Array.unsafe_get win i in
-              if not (dom t w) then begin
-                Array.unsafe_set win !j w;
-                incr j
-              end
-            done;
-            win.(!j) <- t;
-            size := !j + 1
-          end;
-          incr k
-        end
-      done;
-      (Array.to_list (Array.sub win 0 !size), !timed_out)
-
-let maxima_traced (dom : Dominance.t) rows =
-  (* Same pass as [maxima], tracking the peak window size for telemetry
-     without O(n) length scans. *)
-  match rows with
-  | [] -> ([], 0)
-  | first :: _ ->
-    let arr = Array.of_list rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    let peak = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
-      done;
-      if not !dominated then begin
-        let j = ref 0 in
-        for i = 0 to !size - 1 do
-          let w = Array.unsafe_get win i in
-          if not (dom t w) then begin
-            Array.unsafe_set win !j w;
-            incr j
-          end
-        done;
-        win.(!j) <- t;
-        size := !j + 1;
-        if !size > !peak then peak := !size
-      end
-    done;
-    (Array.to_list (Array.sub win 0 !size), !peak)
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized kernels                                                  *)
-
-(* The same window pass over pre-projected vectors: each tuple is projected
-   once up front, every dominance test then reads flat arrays.  [count], when
-   given, accumulates the number of dominance tests (a plain ref the caller
-   owns — safe for per-domain counting in the parallel layer). *)
-
-let maxima_proj ~(dominates : 'p -> 'p -> bool) ?count
-    (points : ('p * Tuple.t) array) =
-  let n = Array.length points in
-  if n = 0 then [||]
+let window ?(deadline = Engine.no_deadline) dom n point =
+  if n = 0 then
+    ([||], { tests = 0; peak = 0; timed_out = Engine.expired deadline })
   else begin
-    let tests = ref 0 in
-    let win = Array.make n points.(0) in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let ((pt, _) as cand) = Array.unsafe_get points k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        incr tests;
-        if dominates (fst (Array.unsafe_get win !i)) pt then dominated := true
-        else incr i
-      done;
-      if not !dominated then begin
-        let j = ref 0 in
-        for i = 0 to !size - 1 do
-          let ((wp, _) as w) = Array.unsafe_get win i in
+    let window_pts = ref (Array.make (min n initial_window) (point 0))
+    and window_idx = ref (Array.make (min n initial_window) 0) in
+    let size = ref 0 and peak = ref 0 and tests = ref 0 in
+    let polled = Engine.has_deadline deadline in
+    let timed_out = ref false in
+    let k = ref 0 in
+    while !k < n && not !timed_out do
+      if polled && !k land (deadline_stride - 1) = 0 && Engine.expired deadline
+      then timed_out := true
+      else begin
+        let t = point !k and win = !window_pts and idx = !window_idx in
+        let dominated = ref false in
+        let i = ref 0 in
+        while (not !dominated) && !i < !size do
           incr tests;
-          if not (dominates pt wp) then begin
-            Array.unsafe_set win !j w;
-            incr j
-          end
+          if dom (Array.unsafe_get win !i) t then dominated := true else incr i
         done;
-        win.(!j) <- cand;
-        size := !j + 1
+        if not !dominated then begin
+          let j = ref 0 in
+          for i = 0 to !size - 1 do
+            let w = Array.unsafe_get win i in
+            incr tests;
+            if not (dom t w) then begin
+              Array.unsafe_set win !j w;
+              Array.unsafe_set idx !j (Array.unsafe_get idx i);
+              incr j
+            end
+          done;
+          if !j = Array.length win then begin
+            window_pts := Array.append win win;
+            window_idx := Array.append idx idx
+          end;
+          Array.unsafe_set !window_pts !j t;
+          Array.unsafe_set !window_idx !j !k;
+          size := !j + 1;
+          if !size > !peak then peak := !size
+        end;
+        incr k
       end
     done;
-    (match count with Some c -> c := !c + !tests | None -> ());
-    Array.sub win 0 !size
+    ( Array.sub !window_idx 0 !size,
+      { tests = !tests; peak = !peak; timed_out = !timed_out } )
   end
 
-let project_floats proj rows = Array.map (fun t -> (proj t, t)) rows
-
-let maxima_vec ?count (vec : Dominance.vec) (rows : Tuple.t array) =
-  match vec.Dominance.floats with
-  | Some proj ->
-    let pts = project_floats proj rows in
-    Array.map snd
-      (maxima_proj ~dominates:Dominance.float_dominates ?count pts)
-  | None ->
-    let pts = Array.map (fun t -> (vec.Dominance.project t, t)) rows in
-    Array.map snd (maxima_proj ~dominates:vec.Dominance.better ?count pts)
-
-(* ------------------------------------------------------------------ *)
+let maxima (dom : Dominance.t) rows =
+  let rows = Array.of_list rows in
+  let idx, _ = window dom (Array.length rows) (Array.get rows) in
+  Array.to_list (Array.map (Array.get rows) idx)
 
 let query schema p rel =
-  Pref_obs.Span.with_span "bmo.bnl" (fun () ->
-      let dom = Dominance.of_pref schema p in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let dom, comparisons = Dominance.counting dom in
-        let (best, peak), ms =
-          Pref_obs.Span.timed (fun () -> maxima_traced dom rows)
-        in
-        Obs.record_query ~algorithm:"bnl" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(comparisons ()) ~ms;
-        Pref_obs.Metrics.set_max Obs.window_peak (float_of_int peak);
-        Pref_obs.Span.add_attr "window_peak" (string_of_int peak);
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima dom rows))
+  match Dominance.points schema p (Array.of_list (Relation.rows rel)) with
+  | Points { rows; point; dom } ->
+    let idx, _ = window dom (Array.length rows) point in
+    Relation.make (Relation.schema rel)
+      (Array.to_list (Array.map (Array.get rows) idx))

@@ -1,63 +1,48 @@
 (** Block-nested-loops BMO evaluation ([BKS01], in-memory variant).
 
-    Maintains a window of mutually undominated tuples; average-case far
-    fewer comparisons than {!Naive} because dominated tuples are discarded
-    on the fly and never compared again. Correct for every strict partial
-    order: transitivity guarantees a tuple dominated by an evicted window
-    tuple is also dominated by the evicting one. Result order: first
-    appearance order of the surviving tuples.
-
-    The window lives in a mutable array and the scan is iterative, so the
-    pass allocates nothing per candidate and handles anti-chain windows of
-    any size (the former recursive scan kept a stack frame per window
-    tuple). *)
+    One window pass, generic over the point form ({!Dominance.points}).
+    The window holds mutually undominated points; a candidate dominated by
+    a window point is discarded, window points the candidate dominates are
+    evicted. Correct for every strict partial order: transitivity
+    guarantees a point dominated by an evicted window point is also
+    dominated by the evicting one. Survivors come in first-appearance
+    order. The window is a flat array, so the pass allocates nothing per
+    candidate and handles anti-chain windows of any size. *)
 
 open Pref_relation
 
-val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
+type run = {
+  tests : int;  (** dominance tests performed *)
+  peak : int;  (** largest window size reached *)
+  timed_out : bool;  (** the deadline cut the scan short *)
+}
+(** What one pass reports; {!Sfs.filter} reports the same record. *)
 
-val maxima_deadline :
-  deadline:Engine.deadline -> Dominance.t -> Tuple.t list -> Tuple.t list * bool
-(** The window pass with a time budget: the monotonic clock is polled
-    every {!deadline_stride} candidates, and when the deadline expires the
-    pass stops and returns the current window with [true] — the exact BMO
-    set of the scanned prefix (window tuples are mutually undominated and
-    every discarded tuple was dominated by a window tuple, so the prefix
-    semantics is sound; unscanned rows may have dominated them, which is
-    what the [partial] flag reports). With {!Engine.no_deadline} or a
-    budget that never expires the result is exactly {!maxima} and [false].
-    An already-expired deadline returns [([], true)] without scanning —
-    degradation is deterministic, never an exception. *)
+val window :
+  ?deadline:Engine.deadline ->
+  ('p -> 'p -> bool) ->
+  int ->
+  (int -> 'p) ->
+  int array * run
+(** [window dom n point] is the indices of the BMO set of the points
+    [point 0 .. point (n-1)] under [dom], in first-appearance order; each
+    point is asked for once as the pass reaches it. With a [deadline] the monotonic clock is polled
+    every {!deadline_stride} candidates; on expiry the pass stops with
+    [timed_out] set and returns the window so far — the exact BMO set of
+    the scanned prefix (unscanned points may have dominated it, which is
+    what the flag reports). An already-expired deadline returns [[||]]
+    without scanning. *)
+
+val initial_window : int
+(** Window capacity a pass starts with; it doubles when full. *)
 
 val deadline_stride : int
-(** Candidates scanned between clock polls (clock reads are cheap but not
-    free; the stride bounds deadline overshoot to [stride] dominance
-    scans). *)
+(** Candidates scanned between clock polls; bounds deadline overshoot to
+    [stride] window scans. *)
 
-val maxima_traced : Dominance.t -> Tuple.t list -> Tuple.t list * int
-(** [maxima] plus the peak window size reached during the pass — the
-    memory high-water mark query profiles report. Same result as
-    {!maxima}. *)
-
-val maxima_vec :
-  ?count:int ref -> Dominance.vec -> Tuple.t array -> Tuple.t array
-(** The vectorized kernel: projects each row once, then runs the window
-    pass over flat vectors ([float array] for pure numeric skylines,
-    [Value.t array] otherwise). [count] accumulates the number of dominance
-    tests performed — a caller-owned ref, so per-chunk counting stays
-    race-free in the parallel layer. Same result set and order as
-    {!maxima}. *)
-
-val maxima_proj :
-  dominates:('p -> 'p -> bool) ->
-  ?count:int ref ->
-  ('p * Tuple.t) array ->
-  ('p * Tuple.t) array
-(** The window pass over caller-projected points, keeping the projections
-    in the result — the building block {!Parallel} reuses so chunk windows
-    can be merged without re-projecting. *)
+val maxima : Dominance.t -> Tuple.t list -> Tuple.t list
+(** {!window} over the rows under a given test. *)
 
 val query : Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
-(** σ[P](R) via BNL. When telemetry ({!Pref_obs.Control}) is on, reports
-    dominance-test counts, scanned/pruned tuples and the window peak; when
-    off, runs the exact uninstrumented pass. *)
+(** σ[P](R) via {!window} over the form {!Dominance.points} picks. Plain
+    evaluation: telemetry is fed by {!Planner.execute}. *)

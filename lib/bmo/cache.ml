@@ -323,8 +323,7 @@ let derive schema cpref rel = function
         (fun r -> not (List.exists (Tuple.equal r) seed))
         (Relation.rows restricted)
     in
-    let dominates = Dominance.of_pref schema cpref in
-    Relation.make schema (Bnl.maxima dominates (seed @ others))
+    Bnl.query schema cpref (Relation.make schema (seed @ others))
 
 (* Predicted reconstruction overhead a derivation would pay on top of a
    cold evaluation, in ms — [None] means "serve it".  prior-prefix and

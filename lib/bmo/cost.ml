@@ -124,28 +124,46 @@ let log2f n = if n <= 2 then 1. else log (float_of_int n) /. log 2.
    Under anti-correlation most probes end incomparable: neither direction
    of the dominance test can early-exit and the window is scanned to the
    end, so the comparison term grows toward twice the independent case. *)
-let scan_ms c w =
+let scan_ms ~cmp_ns w =
   let n = float_of_int w.n in
   let wbar = (effective_output ~n:w.n ~dims:w.dims ~correlation:w.correlation /. 2.) +. 1. in
   let incomparability = 1. -. Float.min 0. (clamp (-1.) 1. w.correlation) in
-  ns_to_ms (c.c_cmp_ns *. float_of_int w.dims *. n *. wbar *. incomparability)
+  ns_to_ms (cmp_ns *. float_of_int w.dims *. n *. wbar *. incomparability)
 
-let base_ms kind w =
+(* In the float point form ({!Dominance.points}) a test reads unboxed
+   coordinates instead of running the compiled test on rows: on
+   independent data the window pass measured about 8x cheaper per test
+   and dimension than [c_cmp_ns]. Under anti-correlation the window grows
+   toward the whole input, each kept candidate rescans it to evict, and
+   divide & conquer or SFS beat the window on either form, so the gain is
+   phased out: 1 + 7 (1 + r)^3 for r < 0, which keeps the row prices that
+   send r = -0.45 skylines to divide & conquer. The window, filter and
+   parallel passes run on the float form; naive and decompose always test
+   rows. *)
+let float_gain ~correlation =
+  1. +. (7. *. Float.pow (1. +. Float.min 0. (clamp (-1.) 1. correlation)) 3.)
+
+let base_ms ?(floats = false) kind w =
   let c = current () in
+  let pass_cmp_ns =
+    if floats then c.c_cmp_ns /. float_gain ~correlation:w.correlation
+    else c.c_cmp_ns
+  in
   let n = float_of_int w.n in
   let out = effective_output ~n:w.n ~dims:w.dims ~correlation:w.correlation in
   let sort = ns_to_ms (c.c_sort_ns *. n *. log2f w.n) in
   let par_base d =
     us_to_ms (c.c_par_fixed_us +. (c.c_par_domain_us *. float_of_int d))
   in
-  let par_scan d = c.c_par_pessimism *. scan_ms c w /. float_of_int d in
+  let scan = scan_ms ~cmp_ns:pass_cmp_ns w in
+  let par_scan d = c.c_par_pessimism *. scan /. float_of_int d in
   let par_merge d =
-    ns_to_ms (c.c_cmp_ns *. float_of_int w.dims *. out *. out /. float_of_int d)
+    ns_to_ms (pass_cmp_ns *. float_of_int w.dims *. out *. out /. float_of_int d)
   in
   match kind with
   | "naive" -> ns_to_ms (c.c_cmp_ns *. float_of_int w.dims *. n *. n)
-  | "bnl" -> scan_ms c w +. ns_to_ms (c.c_row_ns *. n)
-  | "sfs" -> sort +. scan_ms c w +. ns_to_ms (c.c_row_ns *. n)
+  | "bnl" -> scan +. ns_to_ms (c.c_row_ns *. n)
+  | "sfs" -> sort +. scan +. ns_to_ms (c.c_row_ns *. n)
   | "dnc" ->
     ns_to_ms
       (c.c_dnc_ns *. n *. log2f w.n *. float_of_int (max 1 (w.dims - 1)))
@@ -160,18 +178,18 @@ let base_ms kind w =
     ns_to_ms ((c.c_cmp_ns +. c.c_row_ns) *. n)
   | "decompose" ->
     (* rule-driven recursion tracks BNL with interpretation overhead *)
-    1.25 *. (scan_ms c w +. ns_to_ms (c.c_row_ns *. n))
+    1.25 *. (scan_ms ~cmp_ns:c.c_cmp_ns w +. ns_to_ms (c.c_row_ns *. n))
   | "refine" ->
     (* re-winnow of a cached BMO seed under the refined preference:
        a BNL pass where w.n is the seed size, not the base relation *)
-    scan_ms c w +. ns_to_ms (c.c_row_ns *. n)
+    scan +. ns_to_ms (c.c_row_ns *. n)
   | "delta" ->
     (* one subscription patch: a linear screen of the maintained
        result + shadow rows (w.n) against the updated tuple *)
     ns_to_ms (((c.c_cmp_ns *. float_of_int w.dims) +. c.c_row_ns) *. n)
   | _ -> invalid_arg ("Cost.predict_ms: unknown plan kind " ^ kind)
 
-let predict_ms ~kind w = factor kind *. base_ms kind w
+let predict_ms ?floats ~kind w = factor kind *. base_ms ?floats kind w
 
 (* ------------------------------------------------------------------ *)
 (* Cache-side pricing                                                  *)
@@ -244,8 +262,8 @@ let scatter_gather_ms ~per_shard_ms ~merge_rows ~dims ~merge =
 let ema_alpha = 0.2
 let clamp_factor = clamp 0.125 8.
 
-let observe ~kind w ~ms =
-  match base_ms kind w with
+let observe ?floats ~kind w ~ms =
+  match base_ms ?floats kind w with
   | base when base > 1e-6 && ms >= 0. ->
     let prev = factor kind in
     let next = ((1. -. ema_alpha) *. prev) +. (ema_alpha *. (ms /. base)) in

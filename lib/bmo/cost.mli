@@ -71,13 +71,17 @@ val effective_output : n:int -> dims:int -> correlation:float -> float
     positive correlation, blended with observed Prop. 13 filter-effect
     ratios when online learning has recorded any. Clamped to [1, n]. *)
 
-val predict_ms : kind:string -> workload -> float
+val predict_ms : ?floats:bool -> kind:string -> workload -> float
 (** Predicted wall time of one plan kind ([naive], [bnl], [sfs], [dnc],
     [par_dnc], [par_sfs], [cascade], [decompose], [refine] — a re-winnow
     of a cached BMO seed, [n] = seed size — or [delta] — one continuous-
     query patch, [n] = maintained result + shadow rows), including any
-    learned correction factor. Raises [Invalid_argument] on unknown
-    kinds. *)
+    learned correction factor. [floats] (default [false]) prices the
+    window, filter and parallel passes on the float point form
+    ({!Dominance.float_chain} holds), where a test per dimension costs
+    [c_cmp_ns] divided by a measured gain: 8 on independent and
+    correlated data, phased out toward 1 under anti-correlation. Raises
+    [Invalid_argument] on unknown kinds. *)
 
 (** {1 Cache-side pricing} *)
 
@@ -133,7 +137,7 @@ val set_learning : bool -> unit
 (** Off by default so plan choices stay deterministic; {!Planner.run}
     only feeds measurements back while this is on. *)
 
-val observe : kind:string -> workload -> ms:float -> unit
+val observe : ?floats:bool -> kind:string -> workload -> ms:float -> unit
 (** Fold one measured runtime into the plan kind's EMA correction factor
     (clamped to [1/8, 8]). *)
 

@@ -1,87 +1,41 @@
-open Pref_relation
-
 (* Maxima of a set of d-dimensional float vectors, every coordinate to be
-   maximised: v dominates w iff v >= w pointwise and v <> w. *)
-
-let dominates v w =
-  let d = Array.length v in
-  let rec ge i = i >= d || (v.(i) >= w.(i) && ge (i + 1)) in
-  let rec gt i = i < d && (v.(i) > w.(i) || gt (i + 1)) in
-  ge 0 && gt 0
-
-let naive_maxima points =
-  List.filter
-    (fun (v, _) -> not (List.exists (fun (w, _) -> dominates w v) points))
-    points
+   maximised, over point indices. *)
 
 let threshold = 32
 
-let rec maxima_points points =
-  let n = List.length points in
-  if n <= threshold then naive_maxima points
-  else
-    (* Split on the first coordinate at a value boundary near the median so
-       the two halves are strictly separated: no low-half point can dominate
-       a high-half point. *)
-    let sorted =
-      List.stable_sort (fun (v, _) (w, _) -> Float.compare w.(0) v.(0)) points
-    in
-    let arr = Array.of_list sorted in
-    let mid = n / 2 in
-    let pivot = (fst arr.(mid)).(0) in
-    let high = ref [] and low = ref [] in
-    Array.iter
-      (fun ((v, _) as p) ->
-        if v.(0) > pivot then high := p :: !high else low := p :: !low)
-      arr;
-    if !high = [] || !low = [] then
-      (* All points share the first coordinate value near the median; a
-         strict split is impossible, fall back to the quadratic base case. *)
-      naive_maxima points
+let maxima (pts : float array array) =
+  let dominates i j = Dominance.floats_dominate pts.(i) pts.(j) in
+  let naive_maxima idxs =
+    List.filter (fun i -> not (List.exists (fun j -> dominates j i) idxs)) idxs
+  in
+  let rec go idxs =
+    let n = List.length idxs in
+    if n <= threshold then naive_maxima idxs
     else
-      let mh = maxima_points !high in
-      let ml = maxima_points !low in
-      (* A point of the low half survives iff no maximal high point
-         dominates it (high points cannot be dominated by low points). *)
-      let ml' =
-        List.filter
-          (fun (v, _) -> not (List.exists (fun (w, _) -> dominates w v) mh))
-          ml
+      (* Split on the first coordinate at a value boundary near the median
+         so the two halves are strictly separated: no low-half point can
+         dominate a high-half point. *)
+      let sorted =
+        List.stable_sort (fun i j -> Float.compare pts.(j).(0) pts.(i).(0)) idxs
       in
-      mh @ ml'
-
-let maxima ~dims rows =
-  let points = List.map (fun t -> (dims t, t)) rows in
-  let kept = maxima_points points in
-  (* Restore input order for deterministic comparisons with other
-     algorithms. *)
-  let module H = Hashtbl in
-  let tbl = H.create (List.length kept) in
-  List.iter (fun (_, t) -> H.replace tbl (Tuple.hash t, t) ()) kept;
-  List.filter (fun t -> H.mem tbl (Tuple.hash t, t)) rows
-
-let dims_of schema attrs ~maximize =
-  let idx = List.map (Schema.index_of_exn schema) attrs in
-  let sign = if maximize then 1.0 else -1.0 in
-  fun t ->
-    Array.of_list
-      (List.map
-         (fun i ->
-           match Value.as_float (Tuple.get t i) with
-           | Some f -> sign *. f
-           | None -> Float.neg_infinity)
-         idx)
-
-let query schema ~attrs ~maximize rel =
-  Pref_obs.Span.with_span "bmo.dnc" (fun () ->
-      let dims = dims_of schema attrs ~maximize in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let best, ms = Pref_obs.Span.timed (fun () -> maxima ~dims rows) in
-        (* vector dominance is not routed through Dominance.t, so the test
-           count is not tracked here *)
-        Obs.record_query ~algorithm:"dnc" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(-1) ~ms;
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima ~dims rows))
+      let pivot = pts.(List.nth sorted (n / 2)).(0) in
+      let high, low = List.partition (fun i -> pts.(i).(0) > pivot) sorted in
+      if high = [] || low = [] then
+        (* All points share the first coordinate value near the median; a
+           strict split is impossible, fall back to the quadratic base
+           case. *)
+        naive_maxima idxs
+      else
+        let mh = go high in
+        (* A point of the low half survives iff no maximal high point
+           dominates it (high points cannot be dominated by low points). *)
+        mh
+        @ List.filter
+            (fun i -> not (List.exists (fun j -> dominates j i) mh))
+            (go low)
+  in
+  let n = Array.length pts in
+  let keep = Array.make n false in
+  List.iter (fun i -> keep.(i) <- true) (go (List.init n Fun.id));
+  (* input order, for deterministic comparisons with other algorithms *)
+  Array.of_list (List.filter (Array.get keep) (List.init n Fun.id))

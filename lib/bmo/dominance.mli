@@ -1,16 +1,21 @@
-(** Dominance tests — the 'better-than' checks driving BMO evaluation.
+(** Dominance tests and the two point forms every BMO kernel runs on.
 
     [dom a b] holds when tuple [a] is strictly better than tuple [b]
-    ([b <_P a]). All BMO algorithms are parameterised over such a test so
-    they work for every preference constructor.
+    ([b <_P a]). The kernels ({!Bnl}, {!Sfs}, {!Dnc}, {!Bbs}, {!Parallel})
+    are generic over a point type and a test on it, and {!points} picks
+    one of exactly two forms by one rule:
 
-    The {!vec} form is the hot-loop contract of the array-based kernels:
-    each tuple is projected once onto the preference's attributes and every
-    dominance test then reads a short flat vector — no per-test name lookup
-    and no closure-tree walk over unrelated columns. For pure numeric
-    skylines ({!Preferences.Pref.chain_dims}) over numeric columns an
-    additional unboxed [float array] path applies, with NULL encoded as
-    [nan] (a number beats NULL, two NULLs tie). *)
+    - {b float form} — when the term is a pure skyline
+      ({!Preferences.Pref.chain_dims}) over numeric columns, each row is
+      projected once onto a sign-folded [float array] of its chain
+      attributes (larger is better, NULL is [neg_infinity]) and tested
+      with {!floats_dominate};
+    - {b row form} — otherwise the points are the rows themselves, tested
+      with the compiled {!of_pref}.
+
+    On numeric columns the projection is exact (a number beats NULL, two
+    NULLs tie, as in the compiled test), so a kernel returns the same
+    survivors after the same number of tests in either form. *)
 
 open Pref_relation
 
@@ -22,22 +27,36 @@ val of_pref : Schema.t -> Preferences.Pref.t -> t
 val counting : t -> t * (unit -> int)
 (** Instrument a test with a comparison counter, for the cost experiments. *)
 
-(** {1 Vectorized dominance} *)
+(** {1 The float form} *)
 
-type vec = {
-  attrs : string list;  (** projected attributes, in slot order *)
-  width : int;
-  project : Tuple.t -> Value.t array;  (** per-tuple projection, done once *)
-  better : Value.t array -> Value.t array -> bool;
-      (** dominance over projection vectors *)
-  floats : (Tuple.t -> float array) option;
-      (** [Some proj] when the preference is a pure numeric skyline over
-          numeric columns: {!float_dominates} on [proj t] is then exactly
-          [better] (larger is better; the projection folds in direction). *)
-}
+val floats_dominate : float array -> float array -> bool
+(** Pointwise [>=] everywhere and [>] somewhere. *)
 
-val of_pref_vec : Schema.t -> Preferences.Pref.t -> vec
+val float_chain : Schema.t -> Preferences.Pref.t -> (string list * bool) option
+(** The rule: {!Preferences.Pref.chain_dims} of the term when every chain
+    attribute is a numeric column; [None] selects the row form. *)
 
-val float_dominates : float array -> float array -> bool
-(** Pointwise float dominance: >= everywhere, > somewhere; [nan] encodes
-    NULL (strictly below every number, tied with itself). *)
+(** {1 Choosing the form} *)
+
+type points =
+  | Points : {
+      rows : Tuple.t array;  (** the rows, in the order of the points *)
+      point : int -> 'p;  (** the point of row [k]; ask once per row *)
+      dom : 'p -> 'p -> bool;  (** the dominance test on points *)
+    }
+      -> points
+(** Rows prepared for a kernel: indices a kernel reports are indices into
+    [rows]. *)
+
+val points :
+  ?presort:bool -> Schema.t -> Preferences.Pref.t -> Tuple.t array -> points
+(** The rows in the form {!float_chain} selects. With [~presort:true] they
+    are first put in SFS order: by the projection of the term's chain,
+    fewer NULL dimensions first, then larger coordinate sum, stably — no
+    row is preceded by one it dominates. [points schema p] compiles once
+    and can be applied to many row sets. Raises [Invalid_argument] when
+    [presort] is asked for a term that is not a chain skyline. *)
+
+val floats : Schema.t -> Preferences.Pref.t -> Tuple.t array -> float array array
+(** The float form alone, for the geometric kernels ({!Dnc}, {!Bbs}).
+    Raises [Invalid_argument] when {!float_chain} is [None]. *)

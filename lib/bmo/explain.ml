@@ -132,26 +132,15 @@ module Plan = struct
            sequential window kernel (degradation ladder)"
           Planner.Plan_bnl
       else (
-        match cfg.Engine.algorithm with
-        | Engine.Alg_auto -> (auto_plan, trace, None)
-        | alg ->
-          let plan =
-            match alg with
-            | Engine.Alg_naive -> Planner.Plan_naive
-            | Engine.Alg_bnl -> Planner.Plan_bnl
-            | Engine.Alg_decompose -> Planner.Plan_decompose
-            | Engine.Alg_parallel ->
-              Planner.Plan_par_dnc
-                {
-                  domains =
-                    (match cfg.Engine.domains with
-                    | Some d -> max 1 d
-                    | None -> Parallel.default_domains ());
-                }
-            | Engine.Alg_auto -> assert false
-          in
+        match
+          Planner.plan_of_algorithm ?domains:cfg.Engine.domains
+            cfg.Engine.algorithm
+        with
+        | None -> (auto_plan, trace, None)
+        | Some plan ->
           bypass
-            ("algorithm knob forces " ^ Engine.algorithm_to_string alg)
+            ("algorithm knob forces "
+            ^ Engine.algorithm_to_string cfg.Engine.algorithm)
             plan)
 
   let make ~query ~analyze ~plan ~forced ~trace ~ops ~total_ms () =

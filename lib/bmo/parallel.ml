@@ -1,18 +1,16 @@
-open Pref_relation
-
 (* Parallel BMO evaluation over a reusable {!Pool} of domains.
 
    Divide-and-conquer skyline: split the input into P contiguous chunks,
-   run the array-window BNL pass ({!Bnl.maxima_proj}) on each chunk in its
-   own domain, then merge the chunk windows pairwise, filtering out
-   cross-chunk dominated tuples.  Correct for every strict partial order:
+   run the window pass ({!Bnl.window}) on each chunk in its own domain,
+   then merge the chunk windows pairwise, filtering out cross-chunk
+   dominated tuples.  Correct for every strict partial order:
    in a finite SPO every dominated tuple is dominated by some *maximal*
    tuple (domination chains are finite and transitivity closes them), so
    filtering chunk-local maxima against the other chunks' maxima is exact.
 
-   Parallel SFS: one global presort by a topological key, then the
-   append-only filter pass is split — each chunk filters locally, and in a
-   second parallel phase chunk k drops its survivors dominated by a local
+   Parallel SFS: over points presorted in SFS order, the append-only
+   filter pass ({!Sfs.filter}) is split — each chunk filters locally, and
+   in a second parallel phase chunk k drops its survivors dominated by a local
    survivor of any chunk before it (sound because SFS windows never evict:
    any cross-chunk dominator is, transitively, represented by a surviving
    one). *)
@@ -91,23 +89,25 @@ let stats_attrs st =
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
 
-(* Keep the points of [xs] not dominated by any point of [against]. *)
+(* Merging works on point indices; [dominates i j] tests points i, j. *)
+
+(* Keep the indices of [xs] not dominated by any index of [against]. *)
 let filter_against ~dominates ~tests xs against =
   let m = Array.length against in
   if m = 0 then xs
   else
-    Array.to_list xs
-    |> List.filter (fun (px, _) ->
+    Array.of_list
+      (List.filter
+         (fun x ->
            let dominated = ref false in
            let j = ref 0 in
            while (not !dominated) && !j < m do
              incr tests;
-             if dominates (fst (Array.unsafe_get against !j)) px then
-               dominated := true
+             if dominates (Array.unsafe_get against !j) x then dominated := true
              else incr j
            done;
            not !dominated)
-    |> Array.of_list
+         (Array.to_list xs))
 
 (* Pairwise merge in chunk order. Filtering [part] against the already
    thinned [acc'] (rather than [acc]) is equivalent: an evicted [a] was
@@ -124,208 +124,95 @@ let merge_windows ~dominates ~tests parts =
       end)
     [||] parts
 
-(* ------------------------------------------------------------------ *)
-(* Parallel divide-and-conquer skyline                                 *)
-
-let dnc_points ~dominates ~pool ~chunks ~project rows =
-  let k = Array.length chunks in
-  let counts = Array.init k (fun _ -> ref 0) in
-  let doms = Array.make k 0 in
+(* Phase 1 of both strategies: [pass] over each contiguous chunk in its own
+   domain, local survivor indices shifted to global ones. The points are
+   materialised once up front: the merge tests chunk survivors again. *)
+let local_phase ~pool ~chunks pass pts =
+  let doms = Array.make (Array.length chunks) 0 in
   let locals, local_ms =
     Pref_obs.Span.timed (fun () ->
         Pool.map pool
           (fun i ->
             let off, len = chunks.(i) in
             doms.(i) <- Pool.self ();
-            Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts =
-                  Array.init len (fun j ->
-                      let t = Array.unsafe_get rows (off + j) in
-                      (project t, t))
-                in
-                let out = Bnl.maxima_proj ~dominates ~count:counts.(i) pts in
-                Pref_obs.Span.add_attrs
-                  [
-                    ("chunk", string_of_int i);
-                    ("domain", string_of_int doms.(i));
-                    ("rows", string_of_int len);
-                    ("out", string_of_int (Array.length out));
-                    ("tests", string_of_int !(counts.(i)));
-                  ];
-                out))
-          (Array.init k Fun.id))
+            let idx, run = pass len (fun j -> Array.unsafe_get pts (off + j)) in
+            (Array.map (( + ) off) idx, run.Bnl.tests))
+          (Array.init (Array.length chunks) Fun.id))
+  in
+  (Array.map fst locals, Array.map snd locals, doms, local_ms)
+
+let stats_of ~pool ~chunks ~survivors ~tests ~doms ~local_ms ~merge_ms
+    ~merge_tests =
+  {
+    s_domains = Pool.size pool;
+    s_chunks =
+      Array.mapi
+        (fun i (_, len) ->
+          {
+            c_rows = len;
+            c_out = Array.length survivors.(i);
+            c_tests = tests.(i);
+            c_domain = doms.(i);
+          })
+        chunks;
+    s_local_ms = local_ms;
+    s_merge_ms = merge_ms;
+    s_merge_tests = merge_tests;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Parallel divide-and-conquer skyline                                 *)
+
+let maxima_dnc ~domains dom n point =
+  let domains = max 1 domains in
+  let pts = Array.init n point in
+  let chunks = Pool.chunks ~domains n in
+  let pool = pool_for domains in
+  let locals, tests, doms, local_ms =
+    local_phase ~pool ~chunks (Bnl.window dom) pts
   in
   let merge_tests = ref 0 in
+  let dominates i j = dom (Array.unsafe_get pts i) (Array.unsafe_get pts j) in
   let merged, merge_ms =
     Pref_obs.Span.timed (fun () ->
-        Pref_obs.Span.with_span "bmo.par.merge" (fun () ->
-            let m = merge_windows ~dominates ~tests:merge_tests locals in
-            Pref_obs.Span.add_attrs
-              [
-                ("out", string_of_int (Array.length m));
-                ("tests", string_of_int !merge_tests);
-              ];
-            m))
+        merge_windows ~dominates ~tests:merge_tests locals)
   in
-  let stats =
-    {
-      s_domains = Pool.size pool;
-      s_chunks =
-        Array.init k (fun i ->
-            {
-              c_rows = snd chunks.(i);
-              c_out = Array.length locals.(i);
-              c_tests = !(counts.(i));
-              c_domain = doms.(i);
-            });
-      s_local_ms = local_ms;
-      s_merge_ms = merge_ms;
-      s_merge_tests = !merge_tests;
-    }
-  in
-  (Array.map snd merged, stats)
-
-let maxima_dnc ~domains (vec : Dominance.vec) (rows : Tuple.t array) =
-  let domains = max 1 domains in
-  let chunks = Pool.chunks ~domains (Array.length rows) in
-  let pool = pool_for domains in
-  match vec.Dominance.floats with
-  | Some proj ->
-    dnc_points ~dominates:Dominance.float_dominates ~pool ~chunks ~project:proj
-      rows
-  | None ->
-    dnc_points ~dominates:vec.Dominance.better ~pool ~chunks
-      ~project:vec.Dominance.project rows
+  ( merged,
+    stats_of ~pool ~chunks ~survivors:locals ~tests ~doms ~local_ms ~merge_ms
+      ~merge_tests:!merge_tests )
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sort-filter skyline                                        *)
 
-let sfs_points ~dominates ~pool ~chunks ~project sorted =
-  let k = Array.length chunks in
-  let counts = Array.init k (fun _ -> ref 0) in
-  let doms = Array.make k 0 in
-  (* Phase 1: local append-only windows over contiguous sorted ranges. *)
-  let locals, local_ms =
-    Pref_obs.Span.timed (fun () ->
-        Pool.map pool
-          (fun i ->
-            let off, len = chunks.(i) in
-            doms.(i) <- Pool.self ();
-            Pref_obs.Span.with_span "bmo.par.chunk" (fun () ->
-                let pts =
-                  Array.init len (fun j ->
-                      let t = Array.unsafe_get sorted (off + j) in
-                      (project t, t))
-                in
-                Sfs.filter_sorted ~dominates ~count:counts.(i) pts))
-          (Array.init k Fun.id))
+let maxima_sfs ~domains dom n point =
+  let domains = max 1 domains in
+  let pts = Array.init n point in
+  let chunks = Pool.chunks ~domains n in
+  let pool = pool_for domains in
+  let locals, tests, doms, local_ms =
+    local_phase ~pool ~chunks (Sfs.filter dom) pts
   in
+  let dominates i j = dom (Array.unsafe_get pts i) (Array.unsafe_get pts j) in
   (* Phase 2: drop chunk k's survivors dominated by a local survivor of
      any earlier chunk. Sound because phase-1 windows never evict: a
      cross-chunk dominator that was itself filtered out is dominated by a
      survivor, which dominates transitively. *)
+  let k = Array.length chunks in
   let merge_tests_per = Array.init k (fun _ -> ref 0) in
   let survivors, merge_ms =
     Pref_obs.Span.timed (fun () ->
         Pool.map pool
           (fun i ->
-            if i = 0 then locals.(0)
-            else begin
-              let tests = merge_tests_per.(i) in
-              Array.to_list locals.(i)
-              |> List.filter (fun (px, _) ->
-                     let dominated = ref false in
-                     let j = ref 0 in
-                     while (not !dominated) && !j < i do
-                       let lj = locals.(!j) in
-                       let m = Array.length lj in
-                       let u = ref 0 in
-                       while (not !dominated) && !u < m do
-                         incr tests;
-                         if dominates (fst (Array.unsafe_get lj !u)) px then
-                           dominated := true
-                         else incr u
-                       done;
-                       incr j
-                     done;
-                     not !dominated)
-              |> Array.of_list
-            end)
+            Array.fold_left
+              (fun part earlier ->
+                filter_against ~dominates ~tests:merge_tests_per.(i) part
+                  earlier)
+              locals.(i)
+              (Array.sub locals 0 i))
           (Array.init k Fun.id))
   in
-  let merge_tests = Array.fold_left (fun a r -> a + !r) 0 merge_tests_per in
-  let stats =
-    {
-      s_domains = Pool.size pool;
-      s_chunks =
-        Array.init k (fun i ->
-            {
-              c_rows = snd chunks.(i);
-              c_out = Array.length survivors.(i);
-              c_tests = !(counts.(i));
-              c_domain = doms.(i);
-            });
-      s_local_ms = local_ms;
-      s_merge_ms = merge_ms;
-      s_merge_tests = merge_tests;
-    }
-  in
-  (* Concatenation in chunk order = descending key order, the same output
-     order as sequential SFS. *)
-  (Array.map snd (Array.concat (Array.to_list survivors)), stats)
-
-let maxima_sfs ~domains ~key (vec : Dominance.vec) (rows : Tuple.t array) =
-  let domains = max 1 domains in
-  let sorted = Array.copy rows in
-  Array.stable_sort (fun a b -> Float.compare (key b) (key a)) sorted;
-  let chunks = Pool.chunks ~domains (Array.length sorted) in
-  let pool = pool_for domains in
-  match vec.Dominance.floats with
-  | Some proj ->
-    sfs_points ~dominates:Dominance.float_dominates ~pool ~chunks ~project:proj
-      sorted
-  | None ->
-    sfs_points ~dominates:vec.Dominance.better ~pool ~chunks
-      ~project:vec.Dominance.project sorted
-
-(* ------------------------------------------------------------------ *)
-(* Relation-level wrappers                                             *)
-
-let record ~algorithm ~n_in ~best ~stats ~ms =
-  if Pref_obs.Control.is_enabled () then begin
-    Obs.record_query ~algorithm ~n_in ~n_out:(Array.length best)
-      ~comparisons:(total_tests stats) ~ms;
-    Pref_obs.Metrics.incr Obs.par_queries;
-    Array.iter
-      (fun c -> Pref_obs.Metrics.observe Obs.par_chunk_rows (float_of_int c.c_rows))
-      stats.s_chunks;
-    Pref_obs.Metrics.observe Obs.par_merge_ms stats.s_merge_ms;
-    Pref_obs.Span.add_attrs (stats_attrs stats)
-  end
-
-let query ?domains schema p rel =
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  Pref_obs.Span.with_span "bmo.par_dnc" (fun () ->
-      let vec = Dominance.of_pref_vec schema p in
-      let rows = Array.of_list (Relation.rows rel) in
-      let (best, stats), ms =
-        Pref_obs.Span.timed (fun () -> maxima_dnc ~domains vec rows)
-      in
-      record ~algorithm:"par_dnc" ~n_in:(Array.length rows) ~best ~stats ~ms;
-      Relation.make (Relation.schema rel) (Array.to_list best))
-
-let query_sfs ?domains schema ~attrs ~maximize p rel =
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  Pref_obs.Span.with_span "bmo.par_sfs" (fun () ->
-      let vec = Dominance.of_pref_vec schema p in
-      let key = Sfs.sum_key schema attrs ~maximize in
-      let rows = Array.of_list (Relation.rows rel) in
-      let (best, stats), ms =
-        Pref_obs.Span.timed (fun () -> maxima_sfs ~domains ~key vec rows)
-      in
-      record ~algorithm:"par_sfs" ~n_in:(Array.length rows) ~best ~stats ~ms;
-      Relation.make (Relation.schema rel) (Array.to_list best))
+  (* Concatenation in chunk order = SFS order, the same output order as
+     sequential SFS. *)
+  ( Array.concat (Array.to_list survivors),
+    stats_of ~pool ~chunks ~survivors ~tests ~doms ~local_ms ~merge_ms
+      ~merge_tests:(Array.fold_left (fun a r -> a + !r) 0 merge_tests_per) )

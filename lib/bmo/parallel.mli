@@ -3,19 +3,19 @@
     Two strategies, both exact for every strict partial order (the merge
     correctness argument is spelled out in DESIGN.md):
 
-    - {!maxima_dnc} — divide-and-conquer: P contiguous chunks, array-window
-      BNL per chunk in its own domain, pairwise merge of the chunk windows
-      with cross-domination filtering.
-    - {!maxima_sfs} — one global topological presort, then the append-only
-      filter pass split across domains: parallel local windows, followed by
-      a parallel cross-chunk filter of each chunk's survivors against all
-      earlier chunks' survivors.
+    - {!maxima_dnc} — divide-and-conquer: P contiguous chunks, the
+      {!Bnl.window} pass per chunk in its own domain, pairwise merge of the
+      chunk windows with cross-domination filtering.
+    - {!maxima_sfs} — over presorted points, the {!Sfs.filter} pass split
+      across domains: parallel local windows, followed by a parallel
+      cross-chunk filter of each chunk's survivors against all earlier
+      chunks' survivors.
+
+    Both are generic over the point form ({!Dominance.points}).
 
     The pool is cached and reused across queries; its size follows the
     [domains] argument (default {!default_domains}, settable through the
     shell's [\set domains N]). *)
-
-open Pref_relation
 
 val default_domains : unit -> int
 (** Engine-wide default degree of parallelism; initially
@@ -48,35 +48,13 @@ val stats_attrs : stats -> (string * string) list
 (** {1 Kernels} *)
 
 val maxima_dnc :
-  domains:int -> Dominance.vec -> Tuple.t array -> Tuple.t array * stats
-(** BMO set of the rows; result order is deterministic (chunk order, local
+  domains:int -> ('p -> 'p -> bool) -> int -> (int -> 'p) -> int array * stats
+(** [maxima_dnc ~domains dom n point]: indices of the BMO set of the points
+    [point 0 .. point (n-1)]; order is deterministic (chunk order, local
     window order within each chunk). *)
 
 val maxima_sfs :
-  domains:int ->
-  key:(Tuple.t -> float) ->
-  Dominance.vec ->
-  Tuple.t array ->
-  Tuple.t array * stats
-(** Requires a topological [key] (see {!Sfs}); output in descending key
-    order, exactly like sequential SFS. *)
-
-(** {1 Relation-level wrappers} *)
-
-val query :
-  ?domains:int -> Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t
-(** σ[P](R) via parallel divide-and-conquer. Reports chunk sizes,
-    per-domain test counts and merge time into spans and metrics when
-    telemetry is on. *)
-
-val query_sfs :
-  ?domains:int ->
-  Schema.t ->
-  attrs:string list ->
-  maximize:bool ->
-  Preferences.Pref.t ->
-  Relation.t ->
-  Relation.t
-(** σ[P](R) via parallel SFS with the {!Sfs.sum_key} topological key over
-    [attrs] — only valid for preferences where that key is topological
-    (Pareto compositions of uniform-direction numeric chains). *)
+  domains:int -> ('p -> 'p -> bool) -> int -> (int -> 'p) -> int array * stats
+(** Indices of the BMO set of points in SFS order
+    ({!Dominance.points} with [~presort:true]), kept in that order, exactly
+    like sequential {!Sfs.filter}. *)

@@ -54,10 +54,10 @@ let plan_to_string = function
 (* Structural analysis                                                 *)
 
 (* Is the term a Pareto accumulation of pure numeric chains, all in the
-   same direction?  Then the [KLP75] divide & conquer and SFS apply.
-   The analysis itself lives in {!Preferences.Pref} (the vectorized
-   dominance compiler needs it too); re-exported here because it is
-   planner vocabulary. *)
+   same direction?  The analysis itself lives in {!Preferences.Pref};
+   re-exported here because it is planner vocabulary. The plans that need
+   the float form (SFS, [KLP75] divide & conquer) are only offered when
+   the chain is over numeric columns ({!Dominance.float_chain}). *)
 let chain_dims = Pref.chain_dims
 
 (* Is the head of a prioritization a chain on the data?  We accept the
@@ -120,6 +120,10 @@ let sampled_correlation schema attrs rows =
    merge overhead. *)
 let par_chunk_threshold = 8192
 
+let resolve_domains = function
+  | Some d -> max 1 d
+  | None -> Parallel.default_domains ()
+
 (* ------------------------------------------------------------------ *)
 (* Decision procedure                                                  *)
 
@@ -173,8 +177,11 @@ let decide_by_cost ~missed ~chain ~d ~n schema p rows =
     @ (if d > 1 then [ ("par_dnc", Plan_par_dnc { domains = d }) ] else [])
     @ [ ("naive", Plan_naive); ("decompose", Plan_decompose) ]
   in
+  let floats = chain <> None in
   let priced =
-    List.map (fun (k, plan) -> (k, plan, Cost.predict_ms ~kind:k w)) candidates
+    List.map
+      (fun (k, plan) -> (k, plan, Cost.predict_ms ~floats ~kind:k w))
+      candidates
   in
   let best =
     List.fold_left
@@ -359,15 +366,13 @@ let decide ~costmodel ~reuse ~probes ~d ~n schema p rel =
               ];
         }
       | _ ->
-        let chain = chain_dims p in
+        let chain = Dominance.float_chain schema p in
         if costmodel then decide_by_cost ~missed ~chain ~d ~n schema p rows
         else decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows)
 
 let choose ?(cache = true) ?(costmodel = true) ?domains schema p rel =
   Pref_obs.Span.with_span "bmo.plan.choose" @@ fun () ->
-  let d =
-    match domains with Some d -> max 1 d | None -> Parallel.default_domains ()
-  in
+  let d = resolve_domains domains in
   let n = List.length (Relation.rows rel) in
   let reuse =
     if cache then Cache.probe ~gate:costmodel Cache.global schema p rel
@@ -395,9 +400,7 @@ type trace = {
 
 let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
     rel =
-  let d =
-    match domains with Some d -> max 1 d | None -> Parallel.default_domains ()
-  in
+  let d = resolve_domains domains in
   let n = List.length (Relation.rows rel) in
   let big = d > 1 && n >= par_chunk_threshold * d in
   let reuse, probes =
@@ -407,7 +410,7 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
       if cache then Cache.probe_traced ~gate:costmodel Cache.global schema p rel
       else (None, [])
   in
-  let chain = chain_dims p in
+  let chain = Dominance.float_chain schema p in
   let dims = pref_dims chain p in
   let estimate =
     if n = 0 then None else Some (Estimate.expected_skyline_size_fast ~n ~dims)
@@ -428,54 +431,197 @@ let choose_traced ?(cache = true) ?(costmodel = true) ?probe ?domains schema p
       t_costs = dec.d_costs;
     } )
 
-let execute schema p rel plan =
-  Pref_obs.Span.with_span "bmo.plan.execute"
-    ~attrs:[ ("plan", plan_kind plan) ]
-  @@ fun () ->
+(* ------------------------------------------------------------------ *)
+(* Execution: the one map from plan to kernel                          *)
+
+let plan_of_algorithm ?domains = function
+  | Engine.Alg_naive -> Some Plan_naive
+  | Engine.Alg_bnl -> Some Plan_bnl
+  | Engine.Alg_decompose -> Some Plan_decompose
+  | Engine.Alg_parallel ->
+    Some (Plan_par_dnc { domains = resolve_domains domains })
+  | Engine.Alg_auto -> None
+
+type outcome = {
+  o_tests : int;
+  o_peak : int option;
+  o_timed_out : bool;
+  o_compile_ms : float;
+  o_eval_ms : float;
+  o_par : Parallel.stats option;
+}
+
+let uncounted =
+  {
+    o_tests = -1;
+    o_peak = None;
+    o_timed_out = false;
+    o_compile_ms = 0.;
+    o_eval_ms = 0.;
+    o_par = None;
+  }
+
+(* The rows of [rel] at [idx] in [rows], as a relation. *)
+let pick rel rows idx =
+  Relation.make (Relation.schema rel)
+    (Array.to_list (Array.map (Array.get rows) idx))
+
+(* A pass over the points of {!Dominance.points}, whatever their form. *)
+type 'r pass = { pass : 'p. ('p -> 'p -> bool) -> int -> (int -> 'p) -> int array * 'r }
+
+(* Compile the points once; each run prepares the rows (timed as the
+   compile phase), runs the pass and maps survivor indices back to rows. *)
+let on_points ?presort schema p outcome { pass } =
+  let points = Dominance.points ?presort schema p in
+  fun rel ->
+    let prepared, compile_ms =
+      Pref_obs.Span.timed (fun () -> points (Array.of_list (Relation.rows rel)))
+    in
+    match prepared with
+    | Points { rows; point; dom } ->
+      let idx, r = pass dom (Array.length rows) point in
+      (pick rel rows idx, outcome ~compile_ms r)
+
+let of_window ~compile_ms (r : Bnl.run) =
+  {
+    uncounted with
+    o_tests = r.tests;
+    o_peak = Some r.peak;
+    o_timed_out = r.timed_out;
+    o_compile_ms = compile_ms;
+  }
+
+let of_parallel ~compile_ms (st : Parallel.stats) =
+  {
+    uncounted with
+    o_tests = Parallel.total_tests st;
+    o_compile_ms = compile_ms;
+    o_par = Some st;
+  }
+
+(* The kernel a plan names. [kernel schema p plan] compiles once; the
+   closure runs on any relation over [schema]. Only the window pass polls
+   [deadline]. The chain fields of [Plan_sfs]/[Plan_dnc]/[Plan_par_sfs]
+   restate [chain_dims p], which the points are built from. *)
+let rec kernel ?deadline schema p plan =
   match plan with
-  | Plan_naive -> Naive.query schema p rel
-  | Plan_bnl -> Bnl.query schema p rel
-  | Plan_sfs { attrs; maximize } ->
-    Sfs.query schema ~key:(Sfs.sum_key schema attrs ~maximize) p rel
-  | Plan_dnc { attrs; maximize } -> Dnc.query schema ~attrs ~maximize rel
-  | Plan_par_dnc { domains } -> Parallel.query ~domains schema p rel
-  | Plan_par_sfs { attrs; maximize; domains } ->
-    Parallel.query_sfs ~domains schema ~attrs ~maximize p rel
-  | Plan_cascade (p1, p2) -> Decompose.cascade schema p1 p2 rel
-  | Plan_decompose -> Decompose.eval schema p rel
-  | Plan_identity -> rel
+  | Plan_naive ->
+    let dom = Dominance.of_pref schema p in
+    fun rel ->
+      let dom, count = Dominance.counting dom in
+      let best = Naive.maxima dom (Relation.rows rel) in
+      ( Relation.make (Relation.schema rel) best,
+        { uncounted with o_tests = count () } )
+  | Plan_bnl ->
+    on_points schema p of_window { pass = (fun d -> Bnl.window ?deadline d) }
+  | Plan_sfs _ ->
+    on_points ~presort:true schema p of_window { pass = (fun d -> Sfs.filter d) }
+  | Plan_dnc _ ->
+    let floats = Dominance.floats schema p in
+    fun rel ->
+      let rows = Array.of_list (Relation.rows rel) in
+      let pts, compile_ms = Pref_obs.Span.timed (fun () -> floats rows) in
+      ( pick rel rows (Dnc.maxima pts),
+        { uncounted with o_compile_ms = compile_ms } )
+  | Plan_par_dnc { domains } ->
+    on_points schema p of_parallel
+      { pass = (fun d -> Parallel.maxima_dnc ~domains d) }
+  | Plan_par_sfs { domains; _ } ->
+    on_points ~presort:true schema p of_parallel
+      { pass = (fun d -> Parallel.maxima_sfs ~domains d) }
+  | Plan_cascade (p1, p2) -> fun rel -> (Decompose.cascade schema p1 p2 rel, uncounted)
+  | Plan_decompose -> fun rel -> (Decompose.eval schema p rel, uncounted)
+  | Plan_identity -> fun rel -> (rel, uncounted)
   | Plan_cache_hit | Plan_cache_semantic _ -> (
     (* [choose] probed the cache; serve through the counting lookup. An
        eviction between probe and execute degrades to a plain BNL pass. *)
-    match Cache.lookup Cache.global schema p rel with
-    | Some (result, _) -> result
-    | None ->
-      let result = Bnl.query schema p rel in
-      Cache.store Cache.global schema p rel result;
-      result)
+    fun rel ->
+      match Cache.lookup Cache.global schema p rel with
+      | Some (result, _) -> (result, uncounted)
+      | None ->
+        let ((result, _) as run) = kernel schema p Plan_bnl rel in
+        Cache.store Cache.global schema p rel result;
+        run)
+
+let outcome_phases o =
+  match o.o_par with
+  | Some st ->
+    [
+      Pref_obs.Profile.phase "local" st.Parallel.s_local_ms;
+      Pref_obs.Profile.phase "merge" st.Parallel.s_merge_ms;
+    ]
+  | None -> []
+
+let outcome_attrs o =
+  (match o.o_peak with
+  | Some peak -> [ ("window_peak", string_of_int peak) ]
+  | None -> [])
+  @ match o.o_par with Some st -> Parallel.stats_attrs st | None -> []
+
+(* Fold the measured runtime back into the cost model (per-kind EMA) and
+   record the Prop. 13 filter effect the query exhibited. *)
+let learn p plan ~rel ~result ~ms =
+  let n_in = Relation.cardinality rel
+  and n_out = Relation.cardinality result in
+  let dims = pref_dims (chain_dims p) p in
+  let floats = Dominance.float_chain (Relation.schema rel) p <> None in
+  let w = { Cost.n = n_in; dims; domains = 1; correlation = 0. } in
+  (match plan with
+  | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose
+  | Plan_cascade _ ->
+    Cost.observe ~floats ~kind:(plan_kind plan) w ~ms
+  | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } ->
+    Cost.observe ~floats ~kind:(plan_kind plan) { w with Cost.domains } ~ms
+  | Plan_identity | Plan_cache_hit | Plan_cache_semantic _ -> ());
+  Cost.observe_filter ~dims ~n_in ~n_out
+
+(* Every kernel run is reported here and nowhere else: the query metrics,
+   the window peak, the parallel-layer metrics and the span attributes.
+   The gate keeps the cardinality walks and attribute strings off the
+   path while telemetry is off. *)
+let record ~kind ~rel ~result o =
+  Obs.record_query
+    ~algorithm:(if o.o_timed_out then kind ^ ":degraded" else kind)
+    ~n_in:(Relation.cardinality rel)
+    ~n_out:(Relation.cardinality result)
+    ~comparisons:o.o_tests ~ms:o.o_eval_ms;
+  Option.iter
+    (fun peak -> Pref_obs.Metrics.set_max Obs.window_peak (float_of_int peak))
+    o.o_peak;
+  Option.iter
+    (fun st ->
+      Pref_obs.Metrics.incr Obs.par_queries;
+      Array.iter
+        (fun c ->
+          Pref_obs.Metrics.observe Obs.par_chunk_rows
+            (float_of_int c.Parallel.c_rows))
+        st.Parallel.s_chunks;
+      Pref_obs.Metrics.observe Obs.par_merge_ms st.Parallel.s_merge_ms)
+    o.o_par;
+  Pref_obs.Span.add_attrs (outcome_attrs o)
+
+let evaluate ?deadline schema p rel plan =
+  let kind = plan_kind plan in
+  Pref_obs.Span.with_span ("bmo." ^ kind) @@ fun () ->
+  let (result, o), ms =
+    Pref_obs.Span.timed (fun () ->
+        let run, stage_ms =
+          Pref_obs.Span.timed (fun () -> kernel ?deadline schema p plan)
+        in
+        let result, o = run rel in
+        (result, { o with o_compile_ms = stage_ms +. o.o_compile_ms }))
+  in
+  let o = { o with o_eval_ms = ms -. o.o_compile_ms } in
+  if Pref_obs.Control.is_enabled () then record ~kind ~rel ~result o;
+  if Cost.learning () && not o.o_timed_out then learn p plan ~rel ~result ~ms;
+  (result, o)
+
+let execute schema p rel plan = fst (evaluate schema p rel plan)
 
 let run ?(cache = true) ?(costmodel = true) ?domains schema p rel =
   let plan = choose ~cache ~costmodel ?domains schema p rel in
   Obs.plan_chosen (plan_kind plan);
-  let t0 = Pref_obs.Clock.now_ns () in
   let result = execute schema p rel plan in
-  (if Cost.learning () then begin
-     (* fold the measured runtime back into the model (per-kind EMA) and
-        record the Prop. 13 filter effect the query exhibited *)
-     let ms = Pref_obs.Clock.elapsed_ms ~since:t0 in
-     let n = List.length (Relation.rows rel) in
-     let dims = pref_dims (chain_dims p) p in
-     let w = { Cost.n; dims; domains = 1; correlation = 0. } in
-     (match plan with
-     | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose
-     | Plan_cascade _ ->
-       Cost.observe ~kind:(plan_kind plan) w ~ms
-     | Plan_par_dnc { domains } | Plan_par_sfs { domains; _ } ->
-       Cost.observe ~kind:(plan_kind plan) { w with Cost.domains } ~ms
-     | Plan_identity | Plan_cache_hit | Plan_cache_semantic _ -> ());
-     Cost.observe_filter ~dims ~n_in:n
-       ~n_out:(List.length (Relation.rows result))
-   end);
   (match plan with
   | _ when not cache -> ()
   | Plan_cache_hit | Plan_cache_semantic _ -> ()

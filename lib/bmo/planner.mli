@@ -85,7 +85,8 @@ type trace = {
   t_domains : int;  (** parallelism considered *)
   t_par_threshold : int;  (** rows per domain before fan-out pays *)
   t_big : bool;  (** [t_n >= t_par_threshold * t_domains] with [t_domains > 1] *)
-  t_chain : (string list * bool) option;  (** {!chain_dims} of the term *)
+  t_chain : (string list * bool) option;
+      (** {!Dominance.float_chain} of the term: a chain over numeric columns *)
   t_correlation : float option;
       (** sampled Pearson correlation, when the decision computed it *)
   t_probes : Cache.tier_probe list;  (** per-tier cache probe timings *)
@@ -115,8 +116,60 @@ val choose_traced :
     probed themselves (EXPLAIN) do not probe twice; without it the cache
     is probed as in {!choose}. *)
 
+(** {1 Execution} *)
+
+val plan_of_algorithm : ?domains:int -> Engine.algorithm -> plan option
+(** The plan an {!Engine.algorithm} knob forces ([Alg_parallel] at
+    [domains], default {!Parallel.default_domains}); [None] for
+    [Alg_auto], which {!choose} decides. *)
+
+type outcome = {
+  o_tests : int;  (** dominance tests; [-1] when the kernel does not count *)
+  o_peak : int option;  (** window peak, for the window and filter passes *)
+  o_timed_out : bool;  (** the deadline cut the window pass short *)
+  o_compile_ms : float;  (** preparing the points (compile or project) *)
+  o_eval_ms : float;  (** the kernel proper *)
+  o_par : Parallel.stats option;  (** per-chunk statistics of parallel plans *)
+}
+
+val kernel :
+  ?deadline:Engine.deadline ->
+  Schema.t ->
+  Preferences.Pref.t ->
+  plan ->
+  Relation.t ->
+  Relation.t * outcome
+(** The one map from plan to kernel, without telemetry: [kernel schema p
+    plan] compiles once and runs on any relation over [schema] (the
+    grouped evaluation runs it per group). *)
+
+val evaluate :
+  ?deadline:Engine.deadline ->
+  Schema.t ->
+  Preferences.Pref.t ->
+  Relation.t ->
+  plan ->
+  Relation.t * outcome
+(** {!kernel}, reported. Points take the form {!Dominance.points} picks;
+    a [deadline] is polled by the window pass of [Plan_bnl] only (on
+    expiry the result is the BMO set of the scanned prefix and
+    [o_timed_out] is set). Every run feeds the engine
+    telemetry here and nowhere else: {!Obs.record_query} (algorithm
+    [<kind>] or [<kind>:degraded]), the window-peak gauge, the parallel
+    metrics and the span attributes; while {!Cost.set_learning} is on,
+    the measured runtime and the observed Prop. 13 filter effect are
+    folded back into the cost model. *)
+
+val outcome_phases : outcome -> Pref_obs.Profile.phase list
+(** The [local] and [merge] phases of a parallel run; empty otherwise. *)
+
+val outcome_attrs : outcome -> (string * string) list
+(** [window_peak] and the parallel statistics, as profile/span
+    attributes. *)
+
 val execute :
   Schema.t -> Preferences.Pref.t -> Relation.t -> plan -> Relation.t
+(** {!evaluate} without a deadline, result only. *)
 
 val run :
   ?cache:bool ->
@@ -125,6 +178,4 @@ val run :
   Schema.t -> Preferences.Pref.t -> Relation.t -> Relation.t * plan
 (** Choose and execute; returns the chosen plan for EXPLAIN output. Cold
     results are stored into {!Cache.global} when it is enabled and [cache]
-    (default [true]) is not overridden to [false]. While
-    {!Cost.set_learning} is on, the measured runtime and the observed
-    Prop. 13 filter effect are folded back into the cost model. *)
+    (default [true]) is not overridden to [false]. *)

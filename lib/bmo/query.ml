@@ -23,81 +23,12 @@ let cap_rows max_rows rel =
           (List.filteri (fun i _ -> i < k) rows),
         true )
 
-let evaluate (cfg : Engine.config) ~use_cache schema p rel =
-  match cfg.algorithm with
-  | Alg_naive -> Naive.query schema p rel
-  | Alg_bnl -> Bnl.query schema p rel
-  | Alg_decompose -> Decompose.eval schema p rel
-  | Alg_parallel -> Parallel.query ?domains:cfg.domains schema p rel
-  | Alg_auto ->
-    fst
-      (Planner.run ~cache:use_cache ~costmodel:cfg.costmodel
-         ?domains:cfg.domains schema p rel)
-
-let sigma_within ~deadline (cfg : Engine.config) schema p rel =
+(* The one σ[P] evaluation: cache first, then the plan the deadline, the
+   algorithm knob or the planner picks, run by {!Planner.evaluate}. The
+   profile is built only when a caller forces it. *)
+let evaluate ~deadline (cfg : Engine.config) schema p rel =
+  Pref_obs.Span.with_span "bmo.sigma" @@ fun () ->
   let use_cache = cfg.cache && Cache.is_enabled () in
-  let cached =
-    if use_cache then
-      Cache.lookup ~gate:cfg.costmodel Cache.global schema p rel
-    else None
-  in
-  let result, flags =
-    match cached with
-    | Some (result, _) -> (result, Engine.complete)
-    | None ->
-      if Engine.has_deadline deadline then begin
-        (* Degradation ladder: a budgeted query runs on the interruptible
-           sequential window kernel regardless of [cfg.algorithm] — the
-           domain fan-out cannot be cancelled mid-batch, the window scan
-           can stop at any candidate.  On expiry the window so far is the
-           exact BMO set of the scanned prefix: sound, merely partial. *)
-        let dom = Dominance.of_pref schema p in
-        let best, timed_out =
-          Bnl.maxima_deadline ~deadline dom (Relation.rows rel)
-        in
-        let r = Relation.make (Relation.schema rel) best in
-        if timed_out then (r, { Engine.partial = true; truncated = false })
-        else begin
-          if use_cache then Cache.store Cache.global schema p rel r;
-          (r, Engine.complete)
-        end
-      end
-      else begin
-        let result = evaluate cfg ~use_cache schema p rel in
-        (* the planner stores its own cold results *)
-        if use_cache && cfg.algorithm <> Alg_auto then
-          Cache.store Cache.global schema p rel result;
-        (result, Engine.complete)
-      end
-  in
-  let result, truncated = cap_rows cfg.max_rows result in
-  (result, Engine.union_flags flags { partial = false; truncated })
-
-let sigma_cfg cfg schema p rel =
-  sigma_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
-
-let sigma ?algorithm ?cache ?domains schema p rel =
-  fst (sigma_cfg (Compat.legacy_cfg ?algorithm ?cache ?domains ()) schema p rel)
-
-let sigma_profiled_within ~deadline (cfg : Engine.config) schema p rel =
-  Pref_obs.Span.with_span "bmo.sigma_profiled" @@ fun () ->
-  let rows = Relation.rows rel in
-  let input_rows = List.length rows in
-  let remake best = Relation.make (Relation.schema rel) best in
-  let use_cache = cfg.cache && Cache.is_enabled () in
-  let finish ~phases ~attrs ~comparisons ~alg_name (result, flags) =
-    let result, truncated = cap_rows cfg.max_rows result in
-    let flags =
-      Engine.union_flags flags { Engine.partial = false; truncated }
-    in
-    let output_rows = Relation.cardinality result in
-    let profile =
-      Pref_obs.Profile.make ~phases
-        ~attrs:(attrs @ Engine.flags_attrs flags)
-        ~comparisons ~algorithm:alg_name ~input_rows ~output_rows ()
-    in
-    (result, flags, profile)
-  in
   let cached =
     if not use_cache then None
     else
@@ -107,139 +38,95 @@ let sigma_profiled_within ~deadline (cfg : Engine.config) schema p rel =
       in
       Option.map (fun x -> (x, ms)) r
   in
-  match cached with
-  | Some ((result, reuse), lookup_ms) ->
-    let alg_name, attrs =
-      match reuse with
-      | Cache.Exact -> ("cache:exact", [ ("cache", "exact") ])
-      | Cache.Semantic desc ->
-        ("cache:semantic:" ^ desc, [ ("cache", "semantic:" ^ desc) ])
-    in
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons:(-1) ~ms:lookup_ms;
-    finish
-      ~phases:[ Pref_obs.Profile.phase "cache_lookup" lookup_ms ]
-      ~attrs ~comparisons:(-1) ~alg_name (result, Engine.complete)
-  | None when Engine.has_deadline deadline ->
-    (* same degradation path as {!sigma_within}, with phase timings *)
-    let dom_raw, compile_ms =
-      Pref_obs.Span.timed (fun () -> Dominance.of_pref schema p)
-    in
-    let dom, comparisons = Dominance.counting dom_raw in
-    let (best, timed_out), eval_ms =
-      Pref_obs.Span.timed (fun () -> Bnl.maxima_deadline ~deadline dom rows)
-    in
-    let result = remake best in
-    if not timed_out && use_cache then
-      Cache.store Cache.global schema p rel result;
-    let comparisons = comparisons () in
-    let alg_name = if timed_out then "bnl:degraded" else "bnl" in
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons ~ms:eval_ms;
-    finish
-      ~phases:
-        [
-          Pref_obs.Profile.phase "compile" compile_ms;
-          Pref_obs.Profile.phase "evaluate" eval_ms;
-        ]
-      ~attrs:[] ~comparisons ~alg_name
-      (result, { Engine.partial = timed_out; truncated = false })
-  | None ->
-    let dom_raw, compile_ms =
-      Pref_obs.Span.timed (fun () -> Dominance.of_pref schema p)
-    in
-    let dom, comparisons = Dominance.counting dom_raw in
-    let alg_name, result, extra_phases, attrs, eval_ms, comparisons_of =
-      match cfg.algorithm with
-      | Alg_naive ->
-        let best, ms = Pref_obs.Span.timed (fun () -> Naive.maxima dom rows) in
-        ("naive", remake best, [], [], ms, comparisons)
-      | Alg_bnl ->
-        let (best, peak), ms =
-          Pref_obs.Span.timed (fun () -> Bnl.maxima_traced dom rows)
-        in
-        Pref_obs.Metrics.set_max Obs.window_peak (float_of_int peak);
-        ( "bnl",
-          remake best,
-          [],
-          [ ("window_peak", string_of_int peak) ],
-          ms,
-          comparisons )
-      | Alg_decompose ->
-        (* decomposition compiles its own sub-preference dominance tests, so
-           the explicit counter does not see them *)
-        let r, ms =
-          Pref_obs.Span.timed (fun () -> Decompose.eval schema p rel)
-        in
-        ("decompose", r, [], [], ms, fun () -> -1)
-      | Alg_parallel ->
-        let d =
-          match cfg.domains with
-          | Some d -> max 1 d
-          | None -> Parallel.default_domains ()
-        in
-        let vec = Dominance.of_pref_vec schema p in
-        let rows_arr = Array.of_list rows in
-        let (best, stats), ms =
-          Pref_obs.Span.timed (fun () ->
-              Parallel.maxima_dnc ~domains:d vec rows_arr)
-        in
-        Pref_obs.Metrics.incr Obs.par_queries;
-        Array.iter
-          (fun c ->
-            Pref_obs.Metrics.observe Obs.par_chunk_rows
-              (float_of_int c.Parallel.c_rows))
-          stats.Parallel.s_chunks;
-        Pref_obs.Metrics.observe Obs.par_merge_ms stats.Parallel.s_merge_ms;
-        ( "par_dnc",
-          remake (Array.to_list best),
-          [
-            Pref_obs.Profile.phase "local" stats.Parallel.s_local_ms;
-            Pref_obs.Profile.phase "merge" stats.Parallel.s_merge_ms;
-          ],
-          Parallel.stats_attrs stats,
-          ms,
-          fun () -> Parallel.total_tests stats )
-      | Alg_auto ->
-        let plan, plan_ms =
-          Pref_obs.Span.timed (fun () ->
-              Planner.choose ~cache:use_cache ~costmodel:cfg.costmodel
-                ?domains:cfg.domains schema p rel)
-        in
-        Obs.plan_chosen (Planner.plan_kind plan);
-        let r, ms =
-          Pref_obs.Span.timed (fun () -> Planner.execute schema p rel plan)
-        in
-        ( "auto:" ^ Planner.plan_kind plan,
-          r,
-          [ Pref_obs.Profile.phase "plan" plan_ms ],
-          [ ("plan", Planner.plan_to_string plan) ],
-          ms,
-          fun () -> -1 )
-    in
-    let comparisons = comparisons_of () in
-    if use_cache then Cache.store Cache.global schema p rel result;
-    Obs.record_query ~algorithm:alg_name ~n_in:input_rows
-      ~n_out:(Relation.cardinality result) ~comparisons ~ms:eval_ms;
-    finish
-      ~phases:
-        ((Pref_obs.Profile.phase "compile" compile_ms :: extra_phases)
-        @ [ Pref_obs.Profile.phase "evaluate" eval_ms ])
-      ~attrs ~comparisons ~alg_name
-      (result, Engine.complete)
+  let result, partial, alg_name, phases, attrs, comparisons =
+    match cached with
+    | Some ((result, reuse), lookup_ms) ->
+      let alg_name, attrs =
+        match reuse with
+        | Cache.Exact -> ("cache:exact", [ ("cache", "exact") ])
+        | Cache.Semantic desc ->
+          ("cache:semantic:" ^ desc, [ ("cache", "semantic:" ^ desc) ])
+      in
+      ( result,
+        false,
+        alg_name,
+        [ Pref_obs.Profile.phase "cache_lookup" lookup_ms ],
+        attrs,
+        -1 )
+    | None ->
+      (* Degradation ladder: a budgeted query runs on the interruptible
+         sequential window pass regardless of [cfg.algorithm] — the domain
+         fan-out cannot be cancelled mid-batch, the window scan can stop
+         at any candidate. *)
+      let forced =
+        if Engine.has_deadline deadline then Some Planner.Plan_bnl
+        else Planner.plan_of_algorithm ?domains:cfg.domains cfg.algorithm
+      in
+      let plan, plan_phases, plan_attrs =
+        match forced with
+        | Some plan -> (plan, [], [])
+        | None ->
+          (* the lookup above already missed every cache tier *)
+          let plan, ms =
+            Pref_obs.Span.timed (fun () ->
+                Planner.choose ~cache:false ~costmodel:cfg.costmodel
+                  ?domains:cfg.domains schema p rel)
+          in
+          Obs.plan_chosen (Planner.plan_kind plan);
+          ( plan,
+            [ Pref_obs.Profile.phase "plan" ms ],
+            [ ("plan", Planner.plan_to_string plan) ] )
+      in
+      let result, o = Planner.evaluate ~deadline schema p rel plan in
+      (* partial results are never cached *)
+      if use_cache && not o.o_timed_out then
+        Cache.store Cache.global schema p rel result;
+      let kind = Planner.plan_kind plan in
+      ( result,
+        o.o_timed_out,
+        (if forced = None then "auto:" ^ kind
+         else if o.o_timed_out then kind ^ ":degraded"
+         else kind),
+        (Pref_obs.Profile.phase "compile" o.o_compile_ms :: plan_phases)
+        @ Planner.outcome_phases o
+        @ [ Pref_obs.Profile.phase "evaluate" o.o_eval_ms ],
+        plan_attrs @ Planner.outcome_attrs o,
+        o.o_tests )
+  in
+  let result, truncated = cap_rows cfg.max_rows result in
+  let flags = { Engine.partial; truncated } in
+  let profile () =
+    Pref_obs.Profile.make ~phases
+      ~attrs:(attrs @ Engine.flags_attrs flags)
+      ~comparisons ~algorithm:alg_name ~input_rows:(Relation.cardinality rel)
+      ~output_rows:(Relation.cardinality result) ()
+  in
+  (result, flags, profile)
+
+let sigma_within ~deadline cfg schema p rel =
+  let result, flags, _ = evaluate ~deadline cfg schema p rel in
+  (result, flags)
+
+let sigma_cfg cfg schema p rel =
+  sigma_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
+
+let sigma ?algorithm ?cache ?domains schema p rel =
+  fst (sigma_cfg (Compat.legacy_cfg ?algorithm ?cache ?domains ()) schema p rel)
+
+let sigma_profiled_within ~deadline cfg schema p rel =
+  let result, flags, profile = evaluate ~deadline cfg schema p rel in
+  (result, flags, profile ())
 
 let sigma_profiled_cfg cfg schema p rel =
   sigma_profiled_within ~deadline:(Engine.deadline_of cfg) cfg schema p rel
 
 let run_within ~deadline (cfg : Engine.config) schema p rel =
+  let rows, flags, profile = evaluate ~deadline cfg schema p rel in
   if cfg.Engine.profile then
-    let rows, flags, profile =
-      sigma_profiled_within ~deadline cfg schema p rel
-    in
+    let profile = profile () in
     Engine.Result.make ~profile ~plan:profile.Pref_obs.Profile.algorithm rows
       flags
   else
-    let rows, flags = sigma_within ~deadline cfg schema p rel in
     Engine.Result.make
       ~plan:(Engine.algorithm_to_string cfg.algorithm)
       rows flags
@@ -263,25 +150,20 @@ let sigma_groupby_within ~deadline (cfg : Engine.config) schema p ~by rel =
   in
   let result, flags =
     if legacy then
-      (* the pre-engine evaluation: one dominance compile shared by every
-         group, no per-group cache probes *)
-      let r =
-        match cfg.algorithm with
-        | Alg_bnl ->
-          let dom = Dominance.of_pref schema p in
-          let rows =
-            List.concat_map
-              (fun g -> Bnl.maxima dom (Relation.rows g))
-              (Relation.group_by rel by)
-          in
-          Relation.make (Relation.schema rel) rows
-        (* groups are typically far below the parallel threshold, so the
-           parallel algorithm routes through the generic per-group
-           evaluation too *)
-        | Alg_naive | Alg_decompose | Alg_parallel | Alg_auto ->
-          Groupby.query schema p ~by rel
+      (* the pre-engine evaluation: one compile, then the window pass (or,
+         for every other algorithm, the naive pass — groups are typically
+         far below the parallel threshold) per group, no cache probes *)
+      let run =
+        Planner.kernel schema p
+          (if cfg.algorithm = Alg_bnl then Planner.Plan_bnl
+           else Planner.Plan_naive)
       in
-      (r, Engine.complete)
+      let rows =
+        List.concat_map
+          (fun g -> Relation.rows (fst (run g)))
+          (Relation.group_by rel by)
+      in
+      (Relation.make (Relation.schema rel) rows, Engine.complete)
     else begin
       (* engine path: each group is a sub-query through {!sigma_within},
          so groups share the cache, the domain setting and one deadline

@@ -1,8 +1,13 @@
 (** Front door for BMO preference queries σ[P](R) (Definition 15).
 
-    Dispatches to one of the interchangeable evaluation algorithms. All
-    produce the same tuple set (the test suite checks this); they differ in
-    cost and in row order / duplicate handling ([Alg_decompose] removes
+    One evaluation serves every entry point: consult the result cache,
+    then run the plan that the deadline, the [algorithm] knob or the
+    {!Planner} picks through {!Planner.evaluate} — the one map from plan
+    to kernel, and the one place kernel runs feed telemetry. The
+    [sigma_*] and [sigma_profiled_*] variants differ only in whether that
+    evaluation also builds a {!Pref_obs.Profile}. All algorithms produce
+    the same tuple set (the test suite checks this); they differ in cost
+    and in row order / duplicate handling ([Alg_decompose] removes
     duplicate rows).
 
     The [_cfg] entry points take the unified {!Engine.config} record and
@@ -39,11 +44,11 @@ val sigma_within :
 (** σ[P](R) under a configuration and a running deadline. The cache is
     consulted first (when [cfg.cache] and the global cache is enabled);
     on a miss, a query with a live deadline evaluates on the
-    interruptible sequential window kernel ({!Bnl.maxima_deadline})
-    regardless of [cfg.algorithm] — the domain fan-out cannot be
-    cancelled — and degrades to the current window with [partial] set
-    when the budget expires. Partial results are never stored in the
-    cache. [cfg.max_rows] caps the returned rows and sets [truncated]. *)
+    interruptible window pass ({!Bnl.window}) regardless of
+    [cfg.algorithm] — the domain fan-out cannot be cancelled — and
+    degrades to the current window with [partial] set when the budget
+    expires. Partial results are never stored in the cache.
+    [cfg.max_rows] caps the returned rows and sets [truncated]. *)
 
 val sigma_cfg :
   Engine.config ->
@@ -65,9 +70,10 @@ val sigma_profiled_within :
     algorithm actually run (including the planner's choice under
     [Alg_auto], [cache:*] for cache hits, [bnl:degraded] for
     deadline-expired queries), dominance-test counts where the kernel
-    reports them, and per-phase timings. The profile is built
-    unconditionally — {!Pref_obs.Control} only decides whether the run
-    also feeds the engine-wide metrics and spans. *)
+    reports them, and per-phase timings ([compile], [plan] under
+    [Alg_auto], [local]/[merge] for parallel plans, [evaluate]). The
+    profile is built unconditionally — {!Pref_obs.Control} only decides
+    whether the run also feeds the engine-wide metrics and spans. *)
 
 val sigma_profiled_cfg :
   Engine.config ->
@@ -109,9 +115,9 @@ val sigma_groupby_within :
     runs as a sub-query through {!sigma_within}, so groups share the
     result cache, the domain setting and one deadline budget; flags are
     the union over groups and [cfg.max_rows] caps the combined result.
-    With cache off, no deadline and default domains this takes the exact
-    pre-engine evaluation path (one shared dominance compile, no cache
-    probes). *)
+    With cache off, no deadline and default domains this takes the
+    pre-engine evaluation path: the window pass per group under
+    [Alg_bnl], the naive pass otherwise, no cache probes. *)
 
 val sigma_groupby_cfg :
   Engine.config ->

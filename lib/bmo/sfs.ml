@@ -1,129 +1,54 @@
-open Pref_relation
-
-(* Presort by a topological key (dominating tuples sort first), then run a
-   single window pass.  Because no later tuple can dominate an earlier one,
-   window tuples are never evicted — each candidate is only checked against
-   the current window.
-
-   Like {!Bnl}, the sort and the window are array-based: [Array.stable_sort]
-   on a materialised array, then an append-only array window probed by a
-   flat loop. *)
-
-let sorted_array ~key rows =
-  let arr = Array.of_list rows in
-  Array.stable_sort (fun a b -> Float.compare (key b) (key a)) arr;
-  arr
-
-let maxima ~key (dom : Dominance.t) rows =
-  match rows with
-  | [] -> []
-  | first :: _ ->
-    let arr = sorted_array ~key rows in
-    let n = Array.length arr in
-    let win = Array.make n first in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let t = Array.unsafe_get arr k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        if dom (Array.unsafe_get win !i) t then dominated := true else incr i
-      done;
-      if not !dominated then begin
-        win.(!size) <- t;
-        incr size
-      end
-    done;
-    Array.to_list (Array.sub win 0 !size)
-
-let sum_key schema attrs ~maximize =
-  let idx = List.map (Schema.index_of_exn schema) attrs in
-  let sign = if maximize then 1.0 else -1.0 in
+(* Presorted input: no later point can dominate an earlier one, so window
+   points are never evicted and each candidate is only checked against the
+   current window — one append-only array probed by a flat loop, grown
+   like {!Bnl.window}'s. [admit t] runs that check for [t], appends it when
+   it survives and reports whether it did; {!filter} drives it over the
+   whole input, {!progressive} one pull at a time. *)
+let admitter dom first tests =
+  let window = ref (Array.make Bnl.initial_window first) and size = ref 0 in
   fun t ->
-    List.fold_left
-      (fun acc i ->
-        match Value.as_float (Tuple.get t i) with
-        | Some f -> acc +. (sign *. f)
-        | None -> acc +. (sign *. Float.neg_infinity))
-      0.0 idx
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized kernel                                                   *)
-
-(* Filter pass over pre-sorted, pre-projected points: append-only window,
-   no evictions.  Shared by the sequential path and the per-chunk workers
-   of {!Parallel}. *)
-let filter_sorted ~(dominates : 'p -> 'p -> bool) ?count
-    (points : ('p * Tuple.t) array) =
-  let n = Array.length points in
-  if n = 0 then [||]
-  else begin
-    let tests = ref 0 in
-    let win = Array.make n points.(0) in
-    let size = ref 0 in
-    for k = 0 to n - 1 do
-      let ((pt, _) as cand) = Array.unsafe_get points k in
-      let dominated = ref false in
-      let i = ref 0 in
-      while (not !dominated) && !i < !size do
-        incr tests;
-        if dominates (fst (Array.unsafe_get win !i)) pt then dominated := true
-        else incr i
-      done;
-      if not !dominated then begin
-        win.(!size) <- cand;
-        incr size
-      end
+    let win = !window in
+    let dominated = ref false in
+    let i = ref 0 in
+    while (not !dominated) && !i < !size do
+      incr tests;
+      if dom (Array.unsafe_get win !i) t then dominated := true else incr i
     done;
-    (match count with Some c -> c := !c + !tests | None -> ());
-    Array.sub win 0 !size
-  end
+    if not !dominated then begin
+      if !size = Array.length win then window := Array.append win win;
+      Array.unsafe_set !window !size t;
+      incr size
+    end;
+    not !dominated
 
-let project_sorted ~key (vec : Dominance.vec) rows =
-  let arr = sorted_array ~key rows in
-  match vec.Dominance.floats with
-  | Some proj ->
-    `Floats (Array.map (fun t -> (proj t, t)) arr)
-  | None -> `General (Array.map (fun t -> (vec.Dominance.project t, t)) arr)
-
-let maxima_vec ?count ~key (vec : Dominance.vec) rows =
-  match project_sorted ~key vec rows with
-  | `Floats pts ->
-    Array.map snd
-      (filter_sorted ~dominates:Dominance.float_dominates ?count pts)
-  | `General pts ->
-    Array.map snd (filter_sorted ~dominates:vec.Dominance.better ?count pts)
-
-(* ------------------------------------------------------------------ *)
-
-let query schema ~key p rel =
-  Pref_obs.Span.with_span "bmo.sfs" (fun () ->
-      let dom = Dominance.of_pref schema p in
-      let rows = Relation.rows rel in
-      if Pref_obs.Control.is_enabled () then begin
-        let dom, comparisons = Dominance.counting dom in
-        let best, ms = Pref_obs.Span.timed (fun () -> maxima ~key dom rows) in
-        Obs.record_query ~algorithm:"sfs" ~n_in:(List.length rows)
-          ~n_out:(List.length best) ~comparisons:(comparisons ()) ~ms;
-        Relation.make (Relation.schema rel) best
-      end
-      else Relation.make (Relation.schema rel) (maxima ~key dom rows))
-
-let progressive ~key (dom : Dominance.t) rows =
-  (* With a topological presort every window insertion is final, so maxima
-     can be emitted as soon as they are found — the progressive behaviour
-     of [TEO01]-style skyline computation.  The window is shared across
-     pulls of the sequence. *)
-  let sorted = Array.to_list (sorted_array ~key rows) in
-  let window = ref [] in
-  let rec emit pending () =
-    match pending with
-    | [] -> Seq.Nil
-    | t :: rest ->
-      if List.exists (fun w -> dom w t) !window then emit rest ()
+let filter ?(deadline = Engine.no_deadline) dom n point =
+  let tests = ref 0 and kept = ref [] and timed_out = ref false in
+  if n > 0 then begin
+    let admit = admitter dom (point 0) tests in
+    let polled = Engine.has_deadline deadline in
+    let k = ref 0 in
+    while !k < n && not !timed_out do
+      if
+        polled
+        && !k land (Bnl.deadline_stride - 1) = 0
+        && Engine.expired deadline
+      then timed_out := true
       else begin
-        window := t :: !window;
-        Seq.Cons (t, emit rest)
+        if admit (point !k) then kept := !k :: !kept;
+        incr k
       end
-  in
-  emit sorted
+    done
+  end;
+  let kept = Array.of_list (List.rev !kept) in
+  (kept, { Bnl.tests = !tests; peak = Array.length kept; timed_out = !timed_out })
+
+let progressive schema p rows =
+  match Dominance.points ~presort:true schema p (Array.of_list rows) with
+  | Points { rows; point; dom } ->
+    let n = Array.length rows in
+    if n = 0 then Seq.empty
+    else
+      let admit = admitter dom (point 0) (ref 0) in
+      Seq.filter_map
+        (fun k -> if admit (point k) then Some rows.(k) else None)
+        (Seq.init n Fun.id)

@@ -1,51 +1,31 @@
 (** Sort-filter BMO evaluation (SFS-style).
 
-    Requires a {e topological} key: whenever [a] dominates [b], [key a >=
-    key b] must hold (e.g. the sum of the maximised dimensions for a Pareto
-    preference over numeric chains). Under that precondition the window only
-    grows, which makes SFS faster than BNL on data with large skylines.
-    Supplying a non-topological key yields wrong results — the test suite
-    checks both directions.
-
-    The sort runs over a materialised array ([Array.stable_sort]) and the
-    filter pass probes an append-only array window, so neither phase
-    allocates per candidate. *)
+    Points in SFS order ({!Dominance.points} with [~presort:true]: the
+    projection of the term's chain, fewer NULL dimensions first, then
+    larger coordinate sum) are never dominated by a later point, so one
+    append-only filter pass suffices: each candidate is only checked
+    against the window and window points are never evicted. That makes
+    SFS faster than BNL on data with large skylines. The order is what
+    makes it correct: on an unsorted input the pass keeps dominated
+    points. *)
 
 open Pref_relation
 
-val maxima : key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t list
-
-val sum_key : Schema.t -> string list -> maximize:bool -> Tuple.t -> float
-(** Topological key for Pareto preferences of HIGHEST (or, with
-    [maximize:false], LOWEST) chains over the named numeric attributes. *)
-
-val maxima_vec :
-  ?count:int ref ->
-  key:(Tuple.t -> float) ->
-  Dominance.vec ->
-  Tuple.t list ->
-  Tuple.t array
-(** Vectorized sort-filter: sort, project each row once, filter over flat
-    vectors. [count] accumulates dominance tests. Same result (and order:
-    descending key) as {!maxima}. *)
-
-val filter_sorted :
-  dominates:('p -> 'p -> bool) ->
-  ?count:int ref ->
-  ('p * Tuple.t) array ->
-  ('p * Tuple.t) array
-(** The append-only filter pass over {e presorted}, caller-projected
-    points — the building block the parallel layer splits across domains.
-    Precondition: points are in descending topological-key order, so no
-    later point dominates an earlier one. *)
-
-val query :
-  Schema.t -> key:(Tuple.t -> float) -> Preferences.Pref.t -> Relation.t -> Relation.t
+val filter :
+  ?deadline:Engine.deadline ->
+  ('p -> 'p -> bool) ->
+  int ->
+  (int -> 'p) ->
+  int array * Bnl.run
+(** [filter dom n point] keeps the indices of the {e presorted} points
+    [point 0 .. point (n-1)] that no window point dominates, in input
+    order. The deadline
+    contract is {!Bnl.window}'s: on expiry the survivors so far are the
+    BMO set of the scanned prefix and [timed_out] is set. *)
 
 val progressive :
-  key:(Tuple.t -> float) -> Dominance.t -> Tuple.t list -> Tuple.t Seq.t
+  Schema.t -> Preferences.Pref.t -> Tuple.t list -> Tuple.t Seq.t
 (** Progressive skyline delivery ([TEO01]): maxima are emitted as soon as
-    they are identified, best presort key first; consuming the whole
-    sequence yields exactly [maxima]. Same topological-key precondition as
-    {!maxima}. The sequence is ephemeral (internal window state) — consume
-    it once. *)
+    they are identified, in SFS order; consuming the whole sequence yields
+    exactly the survivors of presort and {!filter}. The sequence is
+    ephemeral (internal window state) — consume it once. *)

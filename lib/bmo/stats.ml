@@ -14,11 +14,8 @@ let stronger_filter schema p1 p2 rel =
   result_size schema p1 rel <= result_size schema p2 rel
 
 let comparisons_of algo schema p rel =
-  let dom, count = Dominance.counting (Dominance.of_pref schema p) in
-  let rows = Relation.rows rel in
-  let result =
-    match algo with
-    | `Naive -> Naive.maxima dom rows
-    | `Bnl -> Bnl.maxima dom rows
+  let plan =
+    match algo with `Naive -> Planner.Plan_naive | `Bnl -> Planner.Plan_bnl
   in
-  (Relation.make (Relation.schema rel) result, count ())
+  let result, o = Planner.evaluate schema p rel plan in
+  (result, o.Planner.o_tests)

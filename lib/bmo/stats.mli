@@ -26,5 +26,5 @@ val comparisons_of :
   Preferences.Pref.t ->
   Relation.t ->
   Relation.t * int
-(** Run an algorithm with an instrumented dominance test; returns the result
-    and the number of better-than tests performed. *)
+(** Run an algorithm through {!Planner.evaluate}; returns the result and
+    the number of better-than tests it performed. *)

@@ -625,7 +625,7 @@ let compile_better schema p =
 
 (* Is the term a Pareto accumulation of pure numeric chains over disjoint
    attributes, all in the same direction?  Then the skyline algorithms
-   (KLP75 divide & conquer, SFS presorting, float-vector kernels) apply. *)
+   (KLP75 divide & conquer, SFS presorting, the float point form) apply. *)
 let rec chain_dims = function
   | Highest a -> Some ([ a ], true)
   | Lowest a -> Some ([ a ], false)
@@ -642,31 +642,3 @@ let rec chain_dims = function
   | Score _ | Antichain _ | Prior _ | Rank _ | Inter _ | Dunion _ | Lsum _
   | Two_graphs _ ->
     None
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized compilation: dominance over flat projection vectors      *)
-
-type vec_compiled = {
-  vc_attrs : string list;  (* projected attributes, in slot order *)
-  vc_index : int array;  (* slot -> index in the source schema *)
-  vc_better : Tuple.t -> Tuple.t -> bool;  (* over projection vectors *)
-}
-
-(* [compile_vec schema p] compiles the better-than test to run on flat
-   projection vectors instead of full tuples: project each tuple once with
-   {!vec_project}, then every dominance test reads a short [Value.t array]
-   whose slots were resolved at compile time.  Implemented by compiling [p]
-   against the projected sub-schema — a projection vector *is* a tuple of
-   that schema — so the vector semantics are the compiled semantics by
-   construction. *)
-let compile_vec schema p =
-  let vc_attrs = attrs p in
-  let proj_schema = Schema.project schema vc_attrs in
-  let vc_index =
-    Array.of_list (List.map (Schema.index_of_exn schema) vc_attrs)
-  in
-  let c = compile proj_schema p in
-  { vc_attrs; vc_index; vc_better = (fun x y -> c y x) }
-
-let vec_project vc (t : Tuple.t) =
-  Array.map (fun i -> Tuple.get t i) vc.vc_index

@@ -203,26 +203,8 @@ val compile_better : Schema.t -> t -> Tuple.t -> Tuple.t -> bool
 val chain_dims : t -> (string list * bool) option
 (** [Some (attrs, maximize)] when the term is a Pareto accumulation of
     same-direction numeric chains over disjoint attributes — the pure
-    skyline shape the float-vector kernels and the [KLP75] divide & conquer
-    apply to. *)
-
-type vec_compiled = {
-  vc_attrs : string list;  (** projected attributes, in slot order *)
-  vc_index : int array;  (** slot -> index in the source schema *)
-  vc_better : Tuple.t -> Tuple.t -> bool;
-      (** dominance over projection vectors, not full tuples *)
-}
-
-val compile_vec : Schema.t -> t -> vec_compiled
-(** Compile the dominance test to run on flat projection vectors: project
-    each tuple once with {!vec_project}, then every test reads a short
-    [Value.t array] with slots resolved at compile time — no per-test
-    name lookups and no wider-than-needed tuple traffic. The hot-loop
-    contract of the array-based BMO kernels. *)
-
-val vec_project : vec_compiled -> Tuple.t -> Tuple.t
-(** The projection vector of a tuple (a tuple of the projected
-    sub-schema). *)
+    skyline shape the float point form of the BMO kernels and the [KLP75]
+    divide & conquer apply to. *)
 
 val value_key : Value.t -> string
 (** Injective key compatible with {!Value.equal}; exposed for hash-based set

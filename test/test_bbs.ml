@@ -82,14 +82,19 @@ let arb_points =
                ])
            (triple (int_range 0 6) (int_range 0 6) (int_range 0 6))))
 
+(* BBS over the float form, mapped back to rows *)
+let bbs schema p rows =
+  let arr = Array.of_list rows in
+  let idx, stats = Bbs.maxima (Dominance.floats schema p arr) in
+  (Array.to_list (Array.map (Array.get arr) idx), stats)
+
 let prop_bbs_agrees =
   QCheck.Test.make ~count:300 ~name:"BBS = naive on numeric Pareto" arb_points
     (fun rows ->
       let dom = Dominance.of_pref num_schema skyline3 in
-      let dims = Dnc.dims_of num_schema [ "x"; "y"; "z" ] ~maximize:true in
-      let bbs, _ = Bbs.maxima ~dims rows in
+      let result, _ = bbs num_schema skyline3 rows in
       List.sort Tuple.compare (Naive.maxima dom rows)
-      = List.sort Tuple.compare bbs)
+      = List.sort Tuple.compare result)
 
 let test_bbs_pruning () =
   (* on correlated data most of the tree is pruned without being opened *)
@@ -98,17 +103,14 @@ let test_bbs_pruning () =
       Pref_workload.Synthetic.Correlated
   in
   let schema = Relation.schema rel in
-  let dims =
-    Dnc.dims_of schema (Pref_workload.Synthetic.dim_names 3) ~maximize:true
-  in
-  let result, stats = Bbs.maxima ~dims (Relation.rows rel) in
-  check "some pruning happened" true (stats.Bbs.pruned_subtrees > 0);
-  check "most points never tested" true (stats.Bbs.points_tested < 4000 / 2);
-  (* and the result matches BNL *)
   let p =
     Pref.pareto_all
       (List.map Pref.highest (Pref_workload.Synthetic.dim_names 3))
   in
+  let result, stats = bbs schema p (Relation.rows rel) in
+  check "some pruning happened" true (stats.Bbs.pruned_subtrees > 0);
+  check "most points never tested" true (stats.Bbs.points_tested < 4000 / 2);
+  (* and the result matches BNL *)
   check "matches BNL" true
     (Relation.equal_as_sets
        (Relation.make schema result)
@@ -117,13 +119,11 @@ let test_bbs_pruning () =
 let test_bbs_duplicates () =
   let t a b = Tuple.make [ Value.Float a; Value.Float b; Value.Float 0. ] in
   let rows = [ t 1. 1.; t 1. 1.; t 0. 0. ] in
-  let dims = Dnc.dims_of num_schema [ "x"; "y"; "z" ] ~maximize:true in
-  let result, _ = Bbs.maxima ~dims rows in
+  let result, _ = bbs num_schema skyline3 rows in
   check_int "both duplicate maxima kept" 2 (List.length result)
 
 let test_bbs_empty () =
-  let dims = Dnc.dims_of num_schema [ "x" ] ~maximize:true in
-  let result, stats = Bbs.maxima ~dims [] in
+  let result, stats = bbs num_schema (Pref.highest "x") [] in
   check "empty input" true (result = [] && stats.Bbs.points_tested = 0)
 
 let suite =

@@ -182,32 +182,216 @@ let arb_points =
 let skyline_pref =
   Pref.pareto_all [ Pref.highest "x"; Pref.highest "y"; Pref.highest "z" ]
 
+let skyline_attrs = [ "x"; "y"; "z" ]
+
+let executes schema p rows plan =
+  Relation.rows (Planner.execute schema p (Relation.make schema rows) plan)
+
 let prop_sfs_agrees =
   QCheck.Test.make ~count ~name:"SFS = naive on numeric Pareto" arb_points
     (fun rows ->
       let dom = Dominance.of_pref num_schema skyline_pref in
-      let key = Sfs.sum_key num_schema [ "x"; "y"; "z" ] ~maximize:true in
       List.sort Tuple.compare (Naive.maxima dom rows)
-      = List.sort Tuple.compare (Sfs.maxima ~key dom rows))
+      = List.sort Tuple.compare
+          (executes num_schema skyline_pref rows
+             (Planner.Plan_sfs { attrs = skyline_attrs; maximize = true })))
 
 let prop_dnc_agrees =
   QCheck.Test.make ~count ~name:"D&C = naive on numeric Pareto" arb_points
     (fun rows ->
       let dom = Dominance.of_pref num_schema skyline_pref in
-      let dims = Dnc.dims_of num_schema [ "x"; "y"; "z" ] ~maximize:true in
       List.sort Tuple.compare (Naive.maxima dom rows)
-      = List.sort Tuple.compare (Dnc.maxima ~dims rows))
+      = List.sort Tuple.compare
+          (executes num_schema skyline_pref rows
+             (Planner.Plan_dnc { attrs = skyline_attrs; maximize = true })))
 
 let test_dnc_minimize () =
-  let rel =
-    Relation.make num_schema
-      (List.map
-         (fun (a, b, c) ->
-           Tuple.make [ Value.Float a; Value.Float b; Value.Float c ])
-         [ (1., 1., 1.); (2., 2., 2.); (1., 3., 1.) ])
+  let rows =
+    List.map
+      (fun (a, b, c) ->
+        Tuple.make [ Value.Float a; Value.Float b; Value.Float c ])
+      [ (1., 1., 1.); (2., 2., 2.); (1., 3., 1.) ]
   in
-  let result = Dnc.query num_schema ~attrs:[ "x"; "y"; "z" ] ~maximize:false rel in
-  Alcotest.(check int) "only the all-1 point survives" 1 (Relation.cardinality result)
+  let p = Pref.pareto_all (List.map Pref.lowest skyline_attrs) in
+  let result =
+    executes num_schema p rows
+      (Planner.Plan_dnc { attrs = skyline_attrs; maximize = false })
+  in
+  Alcotest.(check int) "only the all-1 point survives" 1 (List.length result)
+
+(* --- SFS with NULLs --------------------------------------------------- *)
+
+(* A NULL is worse than every number in both directions, so the SFS order
+   must put it last under LOWEST too: (1,1) and (3,0.5) both dominate
+   (NULL,5), and σ[P] keeps two rows. *)
+let test_sfs_null_lowest () =
+  let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
+  let rel =
+    Relation.make schema
+      (List.map
+         (fun (x, y) -> Tuple.make [ x; Value.Float y ])
+         [ (Value.Null, 5.); (Value.Float 1., 1.); (Value.Float 3., 0.5) ])
+  in
+  let p = Pref.pareto (Pref.lowest "x") (Pref.lowest "y") in
+  let attrs = [ "x"; "y" ] in
+  let naive = Naive.query schema p rel in
+  Alcotest.(check int) "naive keeps two rows" 2 (Relation.cardinality naive);
+  List.iter
+    (fun plan ->
+      check_rel (Planner.plan_to_string plan) naive
+        (Planner.execute schema p rel plan))
+    [
+      Planner.Plan_sfs { attrs; maximize = false };
+      Planner.Plan_par_sfs { attrs; maximize = false; domains = 1 };
+      Planner.Plan_par_sfs { attrs; maximize = false; domains = 2 };
+    ]
+
+(* --- One kernel family: every plan kind = Naive ------------------------ *)
+
+let kernel_schema =
+  Schema.make
+    [
+      ("id", Value.TInt);
+      ("a", Value.TInt);
+      ("b", Value.TInt);
+      ("c", Value.TStr);
+      ("d", Value.TFloat);
+    ]
+
+(* Deterministic rows with a unique id, so multiset comparison also holds
+   for decompose, which drops duplicate rows. *)
+let kernel_rows ~nulls n =
+  let state = ref 7 in
+  let next k =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    !state mod k
+  in
+  List.init n (fun i ->
+      let null_every m v = if nulls && i mod m = 0 then Value.Null else v in
+      let a = Value.Int (next 20) and b = Value.Int (next 20) in
+      let c = Value.Str (List.nth [ "x"; "y"; "z"; "w" ] (next 4)) in
+      let d = Value.Float (float_of_int (next 40) /. 4.) in
+      Tuple.make
+        [
+          Value.Int i; null_every 7 a; null_every 11 b; null_every 13 c;
+          null_every 5 d;
+        ])
+
+let kernel_shapes =
+  [
+    ( "same-direction chain",
+      Pref.pareto_all [ Pref.lowest "a"; Pref.lowest "b"; Pref.lowest "d" ] );
+    ("mixed-direction chain", Pref.pareto (Pref.lowest "a") (Pref.highest "d"));
+    ( "AROUND (x) AROUND",
+      Pref.pareto (Pref.around "a" 10.) (Pref.around "d" 5.) );
+    ("PRIOR TO", Pref.prior (Pref.lowest "a") (Pref.highest "b"));
+    ( "POS on a string column",
+      Pref.pareto (Pref.pos "c" [ v "x"; v "y" ]) (Pref.highest "d") );
+  ]
+
+(* The plan kinds that can evaluate [p]: every kind for every shape, except
+   that the SFS and divide & conquer kinds need a chain skyline and the
+   cascade a prioritization headed by a chain. *)
+let kernel_plans p =
+  let domains = 3 in
+  [ Planner.Plan_naive; Plan_bnl; Plan_par_dnc { domains }; Plan_decompose ]
+  @ (match Pref.chain_dims p with
+    | Some (attrs, maximize) ->
+      [
+        Planner.Plan_sfs { attrs; maximize };
+        Plan_dnc { attrs; maximize };
+        Plan_par_sfs { attrs; maximize; domains };
+      ]
+    | None -> [])
+  @ match p with Pref.Prior (p1, p2) -> [ Planner.Plan_cascade (p1, p2) ] | _ -> []
+
+let sorted_rows rel = List.sort Tuple.compare (Relation.rows rel)
+
+let test_kernel_equivalence () =
+  let n = 240 in
+  let kinds = Hashtbl.create 8 in
+  List.iter
+    (fun nulls ->
+      let rel = Relation.make kernel_schema (kernel_rows ~nulls n) in
+      List.iter
+        (fun (shape, p) ->
+          let expected = sorted_rows (Naive.query kernel_schema p rel) in
+          List.iter
+            (fun plan ->
+              let kind = Planner.plan_kind plan in
+              Hashtbl.replace kinds kind ();
+              let label =
+                Printf.sprintf "%s, %s NULLs: %s" shape
+                  (if nulls then "with" else "without")
+                  kind
+              in
+              let result, o = Planner.evaluate kernel_schema p rel plan in
+              check label true (sorted_rows result = expected);
+              Option.iter
+                (fun peak ->
+                  check (label ^ ": result <= peak <= n") true
+                    (Relation.cardinality result <= peak && peak <= n))
+                o.Planner.o_peak)
+            (kernel_plans p))
+        kernel_shapes)
+    [ false; true ];
+  Alcotest.(check (list string))
+    "every plan kind ran"
+    [ "bnl"; "cascade"; "decompose"; "dnc"; "naive"; "par_dnc"; "par_sfs"; "sfs" ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys kinds)));
+  (* the window's deadline contract, in both point forms *)
+  let rel = Relation.make kernel_schema (kernel_rows ~nulls:true n) in
+  let expired =
+    Engine.deadline_of { Engine.default with deadline_ms = Some 0. }
+  in
+  List.iter
+    (fun (shape, p) ->
+      match Dominance.points kernel_schema p (Array.of_list (Relation.rows rel)) with
+      | Points { rows; point; dom } ->
+        let n = Array.length rows in
+        let unbounded, r = Bnl.window dom n point in
+        check (shape ^ ": no deadline never times out") true (not r.Bnl.timed_out);
+        let same, r = Bnl.window ~deadline:Engine.no_deadline dom n point in
+        check (shape ^ ": no_deadline is unbounded") true
+          (same = unbounded && not r.Bnl.timed_out);
+        let none, r = Bnl.window ~deadline:expired dom n point in
+        check (shape ^ ": expired deadline scans nothing") true
+          (none = [||] && r.Bnl.timed_out);
+        let none, r = Sfs.filter ~deadline:expired dom n point in
+        check (shape ^ ": expired deadline filters nothing") true
+          (none = [||] && r.Bnl.timed_out))
+    kernel_shapes;
+  (* a cut-off pass is the BMO set of the scanned prefix: an anti-chain
+     under a slowed test outlives a 10 ms budget *)
+  let m = 600 in
+  let pts = Array.init m (fun i -> [| float_of_int i; float_of_int (m - i) |]) in
+  let slow a b =
+    let since = Pref_obs.Clock.now_ns () in
+    while Pref_obs.Clock.elapsed_ms ~since < 0.005 do
+      ()
+    done;
+    Dominance.floats_dominate a b
+  in
+  let deadline =
+    Engine.deadline_of { Engine.default with deadline_ms = Some 10. }
+  in
+  let cut, r = Bnl.window ~deadline slow m (Array.get pts) in
+  check "slowed pass times out" true r.Bnl.timed_out;
+  let prefix_bmo k =
+    List.filter
+      (fun i ->
+        not
+          (List.exists
+             (fun j -> Dominance.floats_dominate pts.(j) pts.(i))
+             (List.init k Fun.id)))
+      (List.init k Fun.id)
+  in
+  check "cut-off result is the BMO set of a scanned prefix" true
+    (List.exists
+       (fun j ->
+         let k = j * Bnl.deadline_stride in
+         k < m && prefix_bmo k = Array.to_list cut)
+       (List.init ((m / Bnl.deadline_stride) + 1) Fun.id))
 
 let suite =
   [
@@ -228,3 +412,8 @@ let suite =
         prop_sfs_agrees;
         prop_dnc_agrees;
       ]
+  (* Later cases go last so earlier ones keep their positions in the run. *)
+  @ [
+      Gen.quick "SFS ranks NULL last under LOWEST" test_sfs_null_lowest;
+      Gen.quick "every plan kind = naive, one window" test_kernel_equivalence;
+    ]

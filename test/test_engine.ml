@@ -133,16 +133,7 @@ let test_deadline_degradation () =
       schema pareto_pref rel
   in
   check "generous deadline completes" true (Relation.equal_as_sets full r);
-  check "no partial flag" true (not flags.Engine.partial);
-  (* the kernel-level contract: the window at cutoff is the BMO set of the
-     scanned prefix *)
-  let dom = Dominance.of_pref schema pareto_pref in
-  let rows = Relation.rows rel in
-  let best, timed_out =
-    Bnl.maxima_deadline ~deadline:Engine.no_deadline dom rows
-  in
-  check "no-deadline kernel = maxima" true
-    (best = Bnl.maxima dom rows && not timed_out)
+  check "no partial flag" true (not flags.Engine.partial)
 
 let test_partial_never_cached () =
   Cache.set_enabled true;

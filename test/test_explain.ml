@@ -77,8 +77,7 @@ let test_progressive_sfs () =
   in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
   let dom = Dominance.of_pref num_schema p in
-  let key = Sfs.sum_key num_schema [ "x"; "y" ] ~maximize:true in
-  let seq = Sfs.progressive ~key dom rows in
+  let seq = Sfs.progressive num_schema p rows in
   (* the first emitted tuple is available without draining the input *)
   (match seq () with
   | Seq.Cons (first, _) ->
@@ -86,8 +85,12 @@ let test_progressive_sfs () =
       (not (List.exists (fun u -> dom u first) rows))
   | Seq.Nil -> Alcotest.fail "expected output");
   (* a fresh sequence drained completely equals the batch skyline *)
-  let all = List.of_seq (Sfs.progressive ~key dom rows) in
-  let batch = Sfs.maxima ~key dom rows in
+  let all = List.of_seq (Sfs.progressive num_schema p rows) in
+  let batch =
+    Relation.rows
+      (Planner.execute num_schema p (Relation.make num_schema rows)
+         (Planner.Plan_sfs { attrs = [ "x"; "y" ]; maximize = true }))
+  in
   check "progressive = batch" true
     (List.sort Tuple.compare all = List.sort Tuple.compare batch)
 

@@ -299,20 +299,12 @@ let test_profile_independent_of_flag () =
     on.Pref_obs.Profile.comparisons;
   Pref_obs.Span.clear ()
 
-let test_maxima_traced_agrees () =
-  let dom = Dominance.of_pref schema skyline in
-  let plain = Bnl.maxima dom (Relation.rows rel) in
-  let traced, peak = Bnl.maxima_traced dom (Relation.rows rel) in
-  check "traced returns the same maxima" true (plain = traced);
-  check "peak covers the final window" true (peak >= List.length traced);
-  check "peak bounded by input" true (peak <= Relation.cardinality rel)
-
 (* --- engine metrics from a real query ----------------------------------- *)
 
 let test_query_feeds_metrics () =
   Pref_obs.Control.with_enabled true (fun () ->
       Pref_obs.Metrics.reset ();
-      ignore (Bnl.query schema skyline rel);
+      ignore (Planner.execute schema skyline rel Planner.Plan_bnl);
       let get name =
         match Pref_obs.Metrics.counter_value name with
         | Some n -> n
@@ -447,8 +439,6 @@ let suite =
       test_profile_auto_and_decompose;
     Alcotest.test_case "profile ignores the global flag" `Quick
       test_profile_independent_of_flag;
-    Alcotest.test_case "maxima_traced agrees with maxima" `Quick
-      test_maxima_traced_agrees;
     Alcotest.test_case "queries feed the metrics" `Quick
       test_query_feeds_metrics;
     Alcotest.test_case "simplify_count" `Quick test_simplify_count;

@@ -68,11 +68,11 @@ let par_dnc_equiv =
       List.for_all
         (fun d ->
           Relation.equal_as_sets naive
-            (Parallel.query ~domains:d Gen.schema p rel))
+            (Planner.execute Gen.schema p rel (Planner.Plan_par_dnc { domains = d })))
         [ 1; 2; 4 ])
 
 let par_sfs_equiv =
-  (* skyline preferences only: the sum key must be topological *)
+  (* skyline preferences only: SFS needs a chain to presort by *)
   QCheck.Test.make ~count:40 ~name:"parallel sfs = naive BMO set"
     Gen.arb_rows
     (fun rows ->
@@ -85,8 +85,8 @@ let par_sfs_equiv =
           List.for_all
             (fun d ->
               Relation.equal_as_sets naive
-                (Parallel.query_sfs ~domains:d Gen.schema ~attrs ~maximize p
-                   rel))
+                (Planner.execute Gen.schema p rel
+                   (Planner.Plan_par_sfs { attrs; maximize; domains = d })))
             [ 1; 2; 4 ])
         [ ([ "a"; "b" ], true); ([ "a"; "d" ], false); ([ "b"; "d"; "a" ], true) ])
 
@@ -101,14 +101,18 @@ let test_par_on_synthetic () =
       let p = Pref.pareto_all (List.map Pref.highest attrs) in
       let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
       let seq_sfs =
-        Sfs.query schema ~key:(Sfs.sum_key schema attrs ~maximize:true) p rel
+        Planner.execute schema p rel
+          (Planner.Plan_sfs { attrs; maximize = true })
       in
       List.iter
         (fun d ->
-          let dnc = Parallel.query ~domains:d schema p rel in
+          let dnc =
+            Planner.execute schema p rel (Planner.Plan_par_dnc { domains = d })
+          in
           check "par dnc = naive" true (Relation.equal_as_sets naive dnc);
           let sfs =
-            Parallel.query_sfs ~domains:d schema ~attrs ~maximize:true p rel
+            Planner.execute schema p rel
+              (Planner.Plan_par_sfs { attrs; maximize = true; domains = d })
           in
           (* same rows in the same (descending key) order as sequential *)
           check "par sfs keeps sequential order" true
@@ -126,11 +130,16 @@ let test_kernel_stats () =
   let schema = Relation.schema rel in
   let attrs = Synthetic.dim_names 3 in
   let p = Pref.pareto_all (List.map Pref.highest attrs) in
-  let vec = Dominance.of_pref_vec schema p in
-  check "numeric skyline takes the float path" true
-    (vec.Dominance.floats <> None);
-  let rows = Array.of_list (Relation.rows rel) in
-  let best, stats = Parallel.maxima_dnc ~domains:4 vec rows in
+  check "numeric skyline takes the float form" true
+    (Dominance.float_chain schema p <> None);
+  let best, stats =
+    match Dominance.points schema p (Array.of_list (Relation.rows rel)) with
+    | Points { rows; point; dom } ->
+      let idx, stats =
+        Parallel.maxima_dnc ~domains:4 dom (Array.length rows) point
+      in
+      (Array.map (Array.get rows) idx, stats)
+  in
   Alcotest.(check int) "4 chunks" 4 (Array.length stats.Parallel.s_chunks);
   Alcotest.(check int)
     "chunk rows sum to input" 2000
@@ -232,17 +241,15 @@ let test_float_path_nulls () =
   in
   let rel = Relation.make schema rows in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
-  let vec = Dominance.of_pref_vec schema p in
-  check "float path applies" true (vec.Dominance.floats <> None);
+  check "float form applies" true (Dominance.float_chain schema p <> None);
   let naive = Query.sigma ~algorithm:Query.Alg_naive schema p rel in
-  check "vec kernel matches naive on NULLs" true
-    (Relation.equal_as_sets naive
-       (Relation.make schema
-          (Array.to_list (Bnl.maxima_vec vec (Array.of_list rows)))));
+  check "float window matches naive on NULLs" true
+    (Relation.equal_as_sets naive (Bnl.query schema p rel));
   List.iter
     (fun d ->
       check "parallel matches naive on NULLs" true
-        (Relation.equal_as_sets naive (Parallel.query ~domains:d schema p rel)))
+        (Relation.equal_as_sets naive
+           (Planner.execute schema p rel (Planner.Plan_par_dnc { domains = d }))))
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -268,21 +275,24 @@ let test_antichain_window () =
   let n = antichain_n () in
   let schema = Schema.make [ ("x", Value.TFloat); ("y", Value.TFloat) ] in
   let p = Pref.pareto (Pref.highest "x") (Pref.highest "y") in
-  let vec = Dominance.of_pref_vec schema p in
-  let count = ref 0 in
-  let out = Bnl.maxima_vec ~count vec (Array.of_list (antichain_rows n)) in
+  let out, run =
+    match Dominance.points schema p (Array.of_list (antichain_rows n)) with
+    | Points { rows; point; dom } -> Bnl.window dom (Array.length rows) point
+  in
   Alcotest.(check int) "every anti-chain row survives" n (Array.length out);
   check "quadratic test count reached (window really grew)" true
-    (!count >= n * (n - 1) / 2);
-  (* the traced list pass agrees and reports the full window as its peak *)
+    (run.Bnl.tests >= n * (n - 1) / 2);
+  (* the row form agrees and reports the full window as its peak *)
   let small = 2_000 in
-  let rows = antichain_rows small in
-  let dom = Dominance.of_pref schema p in
-  let best, peak = Bnl.maxima_traced dom rows in
-  Alcotest.(check int) "traced pass keeps all rows" small (List.length best);
-  Alcotest.(check int) "window peak = input size" small peak;
-  check "list and vec kernels agree" true
-    (List.equal Tuple.equal rows best)
+  let rows = Array.of_list (antichain_rows small) in
+  let best, run =
+    Bnl.window (Dominance.of_pref schema p) small (Array.get rows)
+  in
+  Alcotest.(check int) "row form keeps all rows" small (Array.length best);
+  Alcotest.(check int) "window peak = input size" small run.Bnl.peak;
+  check "row and float forms agree" true
+    (match Dominance.points schema p rows with
+    | Points { point; dom; _ } -> fst (Bnl.window dom small point) = best)
 
 (* ------------------------------------------------------------------ *)
 (* Tuple.hash *)
