@@ -1391,6 +1391,105 @@ let b13 () =
   check "REFINE from the cached seed >= 2x cold (B13 gate)"
     (seed_speedup >= 2.0)
 
+(* ------------------------------------------------------------------ *)
+(* B14 — kernel point forms: the flagship skyline, float vs row form    *)
+
+let b14_result : Pref_obs.Json.t option ref = ref None
+
+(* The paper's flagship skyline LOWEST price (x) LOWEST mileage (x)
+   HIGHEST horsepower runs the window pass in both point forms: sign-folded
+   floats through the planner's BNL plan, and the rows under the compiled
+   test. The projection is exact, so the two must keep the same rows after
+   the same number of tests; the float form must be at least 3x faster. *)
+let b14 () =
+  section "B14 Kernel point forms: flagship skyline, float vs row form";
+  let n = if quick then 50_000 else 200_000 in
+  let rel = Pref_workload.Cars.relation ~seed:2002 ~n () in
+  let schema = Relation.schema rel in
+  let p =
+    Pref.pareto_all
+      [ Pref.lowest "price"; Pref.lowest "mileage"; Pref.highest "horsepower" ]
+  in
+  let rows = Array.of_list (Relation.rows rel) in
+  (* one warm-up, then five timed repetitions: median and p90 *)
+  let timed f =
+    ignore (f ());
+    let runs = List.init 5 (fun _ -> wall f) in
+    let ms = List.sort Float.compare (List.map snd runs) in
+    (fst (List.hd runs), List.nth ms 2, List.nth ms 4)
+  in
+  let (result, o), float_ms, float_p90 =
+    timed (fun () -> Planner.evaluate schema p rel Planner.Plan_bnl)
+  in
+  let pts, project_ms, _ =
+    timed (fun () -> Dominance.floats schema p rows)
+  in
+  let _, float_window_ms, _ =
+    timed (fun () -> Bnl.window Dominance.floats_dominate n (Array.get pts))
+  in
+  let dom, compile_ms = wall (fun () -> Dominance.of_pref schema p) in
+  let (row_idx, row_run), row_ms, row_p90 =
+    timed (fun () -> Bnl.window dom n (Array.get rows))
+  in
+  let survivors = List.sort Tuple.compare (Relation.rows result) in
+  let same_survivors =
+    survivors
+    = List.sort Tuple.compare
+        (Array.to_list (Array.map (Array.get rows) row_idx))
+  in
+  let form ~total_ms ~p90_ms ~project_ms ~window_ms ~tests =
+    let ns_per_test = window_ms *. 1e6 /. float_of_int (max 1 tests) in
+    let tests_per_row = float_of_int tests /. float_of_int n in
+    Fmt.pr
+      "    median %8.1f ms  p90 %8.1f ms  project %6.1f ms  window %8.1f ms  \
+       %9d tests  %5.1f ns/test  %6.1f tests/row@."
+      total_ms p90_ms project_ms window_ms tests ns_per_test tests_per_row;
+    Pref_obs.Json.(
+      Obj
+        [
+          ("median_ms", Float total_ms);
+          ("p90_ms", Float p90_ms);
+          ("project_ms", Float project_ms);
+          ("window_ms", Float window_ms);
+          ("tests", Int tests);
+          ("ns_per_test", Float ns_per_test);
+          ("tests_per_row", Float tests_per_row);
+        ])
+  in
+  Fmt.pr "  n=%d, %d survivors@." n (List.length survivors);
+  Fmt.pr "  float form (Planner BNL):@.";
+  let float_json =
+    form ~total_ms:float_ms ~p90_ms:float_p90 ~project_ms
+      ~window_ms:float_window_ms ~tests:o.Planner.o_tests
+  in
+  Fmt.pr "  row form (compiled test):@.";
+  let row_json =
+    form ~total_ms:row_ms ~p90_ms:row_p90 ~project_ms:compile_ms
+      ~window_ms:row_ms ~tests:row_run.Bnl.tests
+  in
+  let speedup = row_ms /. Float.max float_ms 1e-9 in
+  Fmt.pr "  float form %.1fx faster@." speedup;
+  b14_result :=
+    Some
+      Pref_obs.Json.(
+        Obj
+          [
+            ( "flagship",
+              Obj
+                [
+                  ("n", Int n);
+                  ("survivors", Int (List.length survivors));
+                  ("speedup", Float speedup);
+                  ("same_survivors", Bool same_survivors);
+                  ("float", float_json);
+                  ("row", row_json);
+                ] );
+          ]);
+  check "float and row form keep the same survivors" same_survivors;
+  check "float and row form run the same number of tests"
+    (o.Planner.o_tests = row_run.Bnl.tests);
+  check "float form >= 3x row form on the flagship (B14 gate)" (speedup >= 3.0)
+
 let () =
   Fmt.pr "Preference algebra & BMO reproduction harness%s@."
     (if smoke then " (smoke mode)" else if quick then " (quick mode)" else "");
@@ -1406,13 +1505,14 @@ let () =
   (* --smoke keeps a fast representative subset: one worked example, the
      algebraic laws, one algorithmic comparison, the telemetry-off
      overhead gate (B8 — guards the export/slowlog hooks on the hot
-     path), the parallel section and the result-cache gates (B10 runs at
+     path), the parallel section, the result-cache gates (B10 runs at
      full n = 200k even here, so the subset is about a minute end to
-     end, dominated by B10's cold runs) *)
+     end, dominated by B10's cold runs) and the kernel point-form gate
+     (B14, about 5 s at n = 50k) *)
   let smoke_sections =
     [
       "e1"; "p_laws"; "b4_decompose"; "b8_obs"; "b9_parallel"; "b10_cache";
-      "b11_server"; "b12_router"; "b13_refine";
+      "b11_server"; "b12_router"; "b13_refine"; "b14_kernel";
     ]
   in
   let run name f =
@@ -1447,6 +1547,7 @@ let () =
   run "b11_server" b11;
   run "b12_router" b12;
   run "b13_refine" b13;
+  run "b14_kernel" b14;
   Fmt.pr "@.=== summary ===@.";
   Fmt.pr "%d checks, %d failures, %d skipped@." !checks !failures !skips;
   let open Pref_obs in
@@ -1584,6 +1685,8 @@ let () =
                        ("speedup", Json.Float speedup);
                      ] ))
                !b13_results) );
+        ( "b14_kernel",
+          Option.value !b14_result ~default:(Json.Obj []) );
         ("metrics", Metrics.to_json ());
       ]
   in

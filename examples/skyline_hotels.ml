@@ -34,19 +34,11 @@ let () =
   let r_bnl = time "BNL" (fun () -> Bnl.query schema skyline_pref hotels) in
   let r_dnc =
     time "D&C (KLP)" (fun () ->
-        let dims t =
-          [|
-            -.Option.get (Value.as_float (Tuple.get_by_name schema t "price"));
-            -.Option.get
-                (Value.as_float (Tuple.get_by_name schema t "distance_to_beach"));
-            Option.get (Value.as_float (Tuple.get_by_name schema t "stars"));
-          |]
-        in
-        (* mixed directions: fold the signs by hand into the float form *)
+        (* the float form folds each chain's direction into its sign *)
         let rows = Array.of_list (Relation.rows hotels) in
+        let pts = Dominance.floats schema skyline_pref rows in
         Relation.make schema
-          (Array.to_list
-             (Array.map (Array.get rows) (Dnc.maxima (Array.map dims rows)))))
+          (Array.to_list (Array.map (Array.get rows) (Dnc.maxima pts))))
   in
   assert (Relation.equal_as_sets r_naive r_bnl);
   assert (Relation.equal_as_sets r_naive r_dnc);

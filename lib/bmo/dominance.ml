@@ -1,8 +1,9 @@
 open Pref_relation
+module Pref = Preferences.Pref
 
 type t = Tuple.t -> Tuple.t -> bool
 
-let of_pref schema p = Preferences.Pref.compile_better schema p
+let of_pref schema p = Pref.compile_better schema p
 
 let counting dom =
   let n = ref 0 in
@@ -15,24 +16,36 @@ let counting dom =
 (* ------------------------------------------------------------------ *)
 (* The float form                                                      *)
 
-(* NULL is [neg_infinity]: below every number on its dimension and tied
-   with another NULL, which is what the compiled chain order and the
-   compiled Pareto equality (Value.equal Null Null) see. The numbers are
+(* Each dimension is folded by its own sign, so that larger is better on
+   every coordinate. NULL is [neg_infinity] where it is worst (below every
+   number on its dimension and tied with another NULL, which is what the
+   compiled chain order and the compiled Pareto equality (Value.equal Null
+   Null) see) and [infinity] where a dual made it best. The numbers are
    {!Value.as_float}'s, read without its option so that projecting a row
    allocates only the point itself. *)
-let project schema attrs ~maximize =
-  let idx = Array.of_list (List.map (Schema.index_of_exn schema) attrs) in
-  let sign = if maximize then 1.0 else -1.0 in
+let project schema dims =
+  let dims = Array.of_list dims in
+  let idx =
+    Array.map (fun (d : Pref.dim) -> Schema.index_of_exn schema d.attr) dims
+  and sign =
+    Array.map (fun (d : Pref.dim) -> if d.maximize then 1.0 else -1.0) dims
+  and null =
+    Array.map
+      (fun (d : Pref.dim) ->
+        if d.null_best then Float.infinity else Float.neg_infinity)
+      dims
+  in
   fun t ->
     let v = Array.make (Array.length idx) 0. in
     for k = 0 to Array.length idx - 1 do
+      let sign = Array.unsafe_get sign k in
       Array.unsafe_set v k
         (match Tuple.get t (Array.unsafe_get idx k) with
         | Value.Int i -> sign *. float_of_int i
         | Value.Float f -> sign *. f
         | Value.Date d -> sign *. float_of_int (Value.date_to_days d)
         | Value.Bool b -> if b then sign else 0.
-        | Value.Null | Value.Str _ -> Float.neg_infinity)
+        | Value.Null | Value.Str _ -> Array.unsafe_get null k)
     done;
     v
 
@@ -58,17 +71,17 @@ let numeric_ty = function
   | Value.TInt | Value.TFloat | Value.TDate | Value.TBool -> true
   | Value.TStr -> false
 
-let numeric_columns schema attrs =
+let numeric_columns schema dims =
   List.for_all
-    (fun a ->
-      match Schema.type_of schema a with
+    (fun (d : Pref.dim) ->
+      match Schema.type_of schema d.attr with
       | Some ty -> numeric_ty ty
       | None -> false)
-    attrs
+    dims
 
 let float_chain schema p =
-  match Preferences.Pref.chain_dims p with
-  | Some (attrs, _) as chain when numeric_columns schema attrs -> chain
+  match Pref.skyline_dims p with
+  | Some dims as chain when numeric_columns schema dims -> chain
   | Some _ | None -> None
 
 (* ------------------------------------------------------------------ *)
@@ -82,20 +95,25 @@ type points =
     }
       -> points
 
-(* SFS order over projections: if v dominates w, v has no more NULL
-   dimensions than w, and with as many it has the same NULL dimensions and
-   a larger sum over the rest — so sorting by (NULL count ascending, sum
-   descending) is topological. A plain sum is not: one NULL makes it
-   infinite. *)
+(* SFS order over projections: if v dominates w, v has no more
+   [neg_infinity] (worst NULL) coordinates than w and no fewer [infinity]
+   (best NULL) ones, and with as many of each it has them on the same
+   dimensions and a larger sum over the rest — so sorting by those three
+   keys is topological. A plain sum is not: one NULL makes it infinite. *)
 let sfs_order (pts : float array array) =
-  let nulls = Array.make (Array.length pts) 0 in
+  let worst = Array.make (Array.length pts) 0
+  and best = Array.make (Array.length pts) 0 in
   let sums =
     Array.mapi
       (fun i v ->
         Array.fold_left
           (fun acc x ->
             if x = Float.neg_infinity then begin
-              nulls.(i) <- nulls.(i) + 1;
+              worst.(i) <- worst.(i) + 1;
+              acc
+            end
+            else if x = Float.infinity then begin
+              best.(i) <- best.(i) + 1;
               acc
             end
             else acc +. x)
@@ -105,22 +123,23 @@ let sfs_order (pts : float array array) =
   let order = Array.init (Array.length pts) Fun.id in
   Array.stable_sort
     (fun a b ->
-      match Int.compare nulls.(a) nulls.(b) with
-      | 0 -> Float.compare sums.(b) sums.(a)
+      match Int.compare worst.(a) worst.(b) with
+      | 0 -> (
+        match Int.compare best.(b) best.(a) with
+        | 0 -> Float.compare sums.(b) sums.(a)
+        | c -> c)
       | c -> c)
     order;
   order
 
 let points ?(presort = false) schema p =
-  let chain = Preferences.Pref.chain_dims p in
+  let chain = Pref.skyline_dims p in
   let numeric =
-    match chain with
-    | Some (attrs, _) -> numeric_columns schema attrs
-    | None -> false
+    match chain with Some dims -> numeric_columns schema dims | None -> false
   in
   match chain with
-  | Some (attrs, maximize) when presort || numeric ->
-    let project = project schema attrs ~maximize in
+  | Some dims when presort || numeric ->
+    let project = project schema dims in
     let presorted rows =
       let pts = Array.map project rows in
       let order = sfs_order pts in
@@ -151,5 +170,5 @@ let points ?(presort = false) schema p =
 
 let floats schema p =
   match float_chain schema p with
-  | Some (attrs, maximize) -> Array.map (project schema attrs ~maximize)
+  | Some dims -> Array.map (project schema dims)
   | None -> invalid_arg "Dominance.floats: not a skyline over numeric columns"

@@ -5,17 +5,20 @@
     are generic over a point type and a test on it, and {!points} picks
     one of exactly two forms by one rule:
 
-    - {b float form} — when the term is a pure skyline
-      ({!Preferences.Pref.chain_dims}) over numeric columns, each row is
-      projected once onto a sign-folded [float array] of its chain
-      attributes (larger is better, NULL is [neg_infinity]) and tested
-      with {!floats_dominate};
+    - {b float form} — when the term is a skyline
+      ({!Preferences.Pref.skyline_dims}: LOWEST/HIGHEST chains, each in
+      its own direction) over numeric columns, each row is projected once
+      onto a [float array] of its chain attributes, every coordinate
+      folded by its dimension's sign so that larger is better (NULL is
+      [neg_infinity], or [infinity] under a dual), and tested with
+      {!floats_dominate};
     - {b row form} — otherwise the points are the rows themselves, tested
       with the compiled {!of_pref}.
 
     On numeric columns the projection is exact (a number beats NULL, two
     NULLs tie, as in the compiled test), so a kernel returns the same
-    survivors after the same number of tests in either form. *)
+    survivors after the same number of tests in either form, whatever the
+    directions of the chains. *)
 
 open Pref_relation
 
@@ -32,9 +35,10 @@ val counting : t -> t * (unit -> int)
 val floats_dominate : float array -> float array -> bool
 (** Pointwise [>=] everywhere and [>] somewhere. *)
 
-val float_chain : Schema.t -> Preferences.Pref.t -> (string list * bool) option
-(** The rule: {!Preferences.Pref.chain_dims} of the term when every chain
-    attribute is a numeric column; [None] selects the row form. *)
+val float_chain :
+  Schema.t -> Preferences.Pref.t -> Preferences.Pref.dim list option
+(** The rule: {!Preferences.Pref.skyline_dims} of the term when every
+    chain attribute is a numeric column; [None] selects the row form. *)
 
 (** {1 Choosing the form} *)
 
@@ -51,9 +55,10 @@ type points =
 val points :
   ?presort:bool -> Schema.t -> Preferences.Pref.t -> Tuple.t array -> points
 (** The rows in the form {!float_chain} selects. With [~presort:true] they
-    are first put in SFS order: by the projection of the term's chain,
-    fewer NULL dimensions first, then larger coordinate sum, stably — no
-    row is preceded by one it dominates. [points schema p] compiles once
+    are first put in SFS order: by the sign-folded projection of the
+    term's chain, fewer worst-NULL dimensions first, then more best-NULL
+    ones, then larger sum over the rest, stably — no row is preceded by
+    one it dominates. [points schema p] compiles once
     and can be applied to many row sets. Raises [Invalid_argument] when
     [presort] is asked for a term that is not a chain skyline. *)
 

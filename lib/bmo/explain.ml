@@ -190,11 +190,14 @@ module Plan = struct
           tr.Planner.t_par_threshold tr.Planner.t_big;
       ]
       @ (match tr.Planner.t_chain with
-        | Some (attrs, maximize) ->
+        | Some dims ->
           [
-            Printf.sprintf "  chain: %s (%s)"
-              (String.concat "," attrs)
-              (if maximize then "max" else "min");
+            "  chain: "
+            ^ String.concat ", "
+                (List.map
+                   (fun (d : Pref.dim) ->
+                     d.attr ^ if d.maximize then " max" else " min")
+                   dims);
           ]
         | None -> [ "  chain: none" ])
       @ (match tr.Planner.t_correlation with
@@ -293,12 +296,16 @@ module Plan = struct
               ( "chain",
                 match tr.Planner.t_chain with
                 | None -> Null
-                | Some (attrs, maximize) ->
-                  Obj
-                    [
-                      ("attrs", List (List.map (fun a -> Str a) attrs));
-                      ("maximize", Bool maximize);
-                    ] );
+                | Some dims ->
+                  List
+                    (List.map
+                       (fun (d : Pref.dim) ->
+                         Obj
+                           [
+                             ("attr", Str d.attr);
+                             ("maximize", Bool d.maximize);
+                           ])
+                       dims) );
               ("correlation", json_opt (fun f -> Float f) tr.Planner.t_correlation);
               ("estimate", json_opt (fun f -> Float f) tr.Planner.t_estimate);
             ] );

@@ -54,10 +54,10 @@ let plan_to_string = function
 (* Structural analysis                                                 *)
 
 (* Is the term a Pareto accumulation of pure numeric chains, all in the
-   same direction?  The analysis itself lives in {!Preferences.Pref};
-   re-exported here because it is planner vocabulary. The plans that need
-   the float form (SFS, [KLP75] divide & conquer) are only offered when
-   the chain is over numeric columns ({!Dominance.float_chain}). *)
+   same direction?  Derived from {!Pref.skyline_dims}, which gives every
+   chain its own direction; re-exported here because the SFS and [KLP75]
+   divide & conquer plans are offered only for such chains, over numeric
+   columns. *)
 let chain_dims = Pref.chain_dims
 
 (* Is the head of a prioritization a chain on the data?  We accept the
@@ -79,20 +79,26 @@ let sample_rows rows ~size =
     List.filteri (fun i _ -> i mod step = 0) rows
   end
 
-(* Pearson correlation of the first two numeric dims on a sample: strongly
-   negative correlation predicts large skylines, where divide & conquer
-   dominates window algorithms. *)
-let sampled_correlation schema attrs rows =
-  match attrs with
+(* Pearson correlation of the first two dims on a sample, each folded by
+   its sign so that larger is better on both: strongly negative
+   correlation in preference space predicts large skylines, where divide
+   & conquer dominates window algorithms. (LOWEST price and HIGHEST power
+   correlate positively on the raw columns and trade off as
+   preferences.) *)
+let sampled_correlation schema (dims : Pref.dim list) rows =
+  match dims with
   | a :: b :: _ -> (
-    let ia = Schema.index_of_exn schema a and ib = Schema.index_of_exn schema b in
+    let folded (d : Pref.dim) =
+      let i = Schema.index_of_exn schema d.attr
+      and sign = if d.maximize then 1. else -1. in
+      fun t -> Option.map (fun x -> sign *. x) (Value.as_float (Tuple.get t i))
+    in
+    let fa = folded a and fb = folded b in
     let sample = sample_rows rows ~size:500 in
     let xs =
       List.filter_map
         (fun t ->
-          match Value.as_float (Tuple.get t ia), Value.as_float (Tuple.get t ib) with
-          | Some x, Some y -> Some (x, y)
-          | _ -> None)
+          match fa t, fb t with Some x, Some y -> Some (x, y) | _ -> None)
         sample
     in
     match xs with
@@ -137,22 +143,24 @@ type decision = {
   d_rejected : (string * string) list;
 }
 
-let pref_dims chain p =
-  match chain with
-  | Some (attrs, _) -> List.length attrs
+let pref_dims dims p =
+  match dims with
+  | Some dims -> List.length dims
   | None -> max 1 (List.length (Pref.attrs p))
 
 (* Cost-based choice: price every alternative that can evaluate this
    preference shape and take the cheapest. Parallel plans carry their
    spawn + merge overhead, so they lose at small n no matter how many
-   domains are available. *)
-let decide_by_cost ~missed ~chain ~d ~n schema p rows =
+   domains are available. [skyline] is {!Dominance.float_chain}: the
+   window, filter and parallel passes then run on the float form, in any
+   mix of directions; SFS and divide & conquer are offered only when the
+   directions agree. *)
+let decide_by_cost ~missed ~skyline ~d ~n schema p rows =
   let correlation =
-    match chain with
-    | Some (attrs, _) -> Some (sampled_correlation schema attrs rows)
-    | None -> None
+    Option.map (fun dims -> sampled_correlation schema dims rows) skyline
   in
-  let dims = pref_dims chain p in
+  let chain = Option.bind skyline Pref.same_direction in
+  let dims = pref_dims skyline p in
   let w =
     {
       Cost.n;
@@ -177,7 +185,7 @@ let decide_by_cost ~missed ~chain ~d ~n schema p rows =
     @ (if d > 1 then [ ("par_dnc", Plan_par_dnc { domains = d }) ] else [])
     @ [ ("naive", Plan_naive); ("decompose", Plan_decompose) ]
   in
-  let floats = chain <> None in
+  let floats = skyline <> None in
   let priced =
     List.map
       (fun (k, plan) -> (k, plan, Cost.predict_ms ~floats ~kind:k w))
@@ -210,10 +218,10 @@ let decide_by_cost ~missed ~chain ~d ~n schema p rows =
 
 (* The pre-cost-model heuristics, kept behind [\set costmodel off] so a
    cost-model regression in production is bisectable to this switch. *)
-let decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows =
-  match chain with
-  | Some (attrs, maximize) ->
-    let r = sampled_correlation schema attrs rows in
+let decide_by_rule ~missed ~skyline ~big ~big_str ~d schema rows =
+  match skyline, Option.bind skyline Pref.same_direction with
+  | Some dims, Some (attrs, maximize) ->
+    let r = sampled_correlation schema dims rows in
     let anti = r < -0.3 in
     let not_dnc =
       if not anti then Printf.sprintf "r=%.2f >= -0.3: skyline expected small" r
@@ -268,7 +276,7 @@ let decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows =
                   (List.length rows) big_str );
             ];
       }
-  | None ->
+  | _ ->
     if big then
       {
         d_plan = Plan_par_dnc { domains = d };
@@ -366,9 +374,9 @@ let decide ~costmodel ~reuse ~probes ~d ~n schema p rel =
               ];
         }
       | _ ->
-        let chain = Dominance.float_chain schema p in
-        if costmodel then decide_by_cost ~missed ~chain ~d ~n schema p rows
-        else decide_by_rule ~missed ~chain ~big ~big_str ~d schema rows)
+        let skyline = Dominance.float_chain schema p in
+        if costmodel then decide_by_cost ~missed ~skyline ~d ~n schema p rows
+        else decide_by_rule ~missed ~skyline ~big ~big_str ~d schema rows)
 
 let choose ?(cache = true) ?(costmodel = true) ?domains schema p rel =
   Pref_obs.Span.with_span "bmo.plan.choose" @@ fun () ->
@@ -390,7 +398,7 @@ type trace = {
   t_domains : int;
   t_par_threshold : int;
   t_big : bool;
-  t_chain : (string list * bool) option;
+  t_chain : Pref.dim list option;
   t_correlation : float option;
   t_probes : Cache.tier_probe list;
   t_rejected : (string * string) list;
@@ -502,7 +510,7 @@ let of_parallel ~compile_ms (st : Parallel.stats) =
 (* The kernel a plan names. [kernel schema p plan] compiles once; the
    closure runs on any relation over [schema]. Only the window pass polls
    [deadline]. The chain fields of [Plan_sfs]/[Plan_dnc]/[Plan_par_sfs]
-   restate [chain_dims p], which the points are built from. *)
+   restate [chain_dims p]; the points are built from the term. *)
 let rec kernel ?deadline schema p plan =
   match plan with
   | Plan_naive ->
@@ -563,8 +571,8 @@ let outcome_attrs o =
 let learn p plan ~rel ~result ~ms =
   let n_in = Relation.cardinality rel
   and n_out = Relation.cardinality result in
-  let dims = pref_dims (chain_dims p) p in
-  let floats = Dominance.float_chain (Relation.schema rel) p <> None in
+  let skyline = Dominance.float_chain (Relation.schema rel) p in
+  let dims = pref_dims skyline p and floats = skyline <> None in
   let w = { Cost.n = n_in; dims; domains = 1; correlation = 0. } in
   (match plan with
   | Plan_naive | Plan_bnl | Plan_sfs _ | Plan_dnc _ | Plan_decompose

@@ -6,8 +6,13 @@
     By default every alternative that can evaluate the term — sequential
     BNL/SFS, [KLP75] divide & conquer, chunked parallel evaluation,
     decomposition — is priced by the calibrated {!Cost} model (output
-    cardinality from {!Estimate}, bent by a sampled correlation) and the
-    cheapest wins. Two structural rules short-circuit the comparison:
+    cardinality from {!Estimate}, bent by a correlation sampled in
+    preference space) and the cheapest wins. A skyline of numeric
+    LOWEST/HIGHEST chains ({!Dominance.float_chain}) is priced on the
+    float point form for the window, filter and parallel passes whatever
+    its directions; SFS and divide & conquer are offered only when all
+    chains run in one direction ({!chain_dims}), as their plan records
+    name one direction. Two structural rules short-circuit the comparison:
     tiny inputs (n ≤ 64) run naively, and a prioritization headed by a
     syntactic chain becomes a query cascade (Proposition 11) because its
     first pass subsumes any alternative's scan. When the result cache is
@@ -54,12 +59,15 @@ val plan_kind : plan -> string
 
 val chain_dims : Preferences.Pref.t -> (string list * bool) option
 (** [Some (attrs, maximize)] when the term is a Pareto accumulation of
-    same-direction numeric chains over disjoint attributes. *)
+    same-direction chains over disjoint attributes
+    ({!Preferences.Pref.chain_dims}). *)
 
 val sampled_correlation :
-  Schema.t -> string list -> Tuple.t list -> float
-(** Pearson correlation of the first two numeric attributes over a sample
-    of at most 500 rows; 0 when not estimable. *)
+  Schema.t -> Preferences.Pref.dim list -> Tuple.t list -> float
+(** Pearson correlation of the first two dimensions over a sample of at
+    most 500 rows, each folded by its sign so that larger is better on
+    both; 0 when not estimable. A same-direction pair keeps the raw
+    columns' correlation, a mixed pair gets its negation. *)
 
 val choose :
   ?cache:bool ->
@@ -85,8 +93,8 @@ type trace = {
   t_domains : int;  (** parallelism considered *)
   t_par_threshold : int;  (** rows per domain before fan-out pays *)
   t_big : bool;  (** [t_n >= t_par_threshold * t_domains] with [t_domains > 1] *)
-  t_chain : (string list * bool) option;
-      (** {!Dominance.float_chain} of the term: a chain over numeric columns *)
+  t_chain : Preferences.Pref.dim list option;
+      (** {!Dominance.float_chain} of the term: chains over numeric columns *)
   t_correlation : float option;
       (** sampled Pearson correlation, when the decision computed it *)
   t_probes : Cache.tier_probe list;  (** per-tier cache probe timings *)

@@ -623,22 +623,38 @@ let compile_better schema p =
 (* ------------------------------------------------------------------ *)
 (* Structural analysis: pure numeric skylines                          *)
 
-(* Is the term a Pareto accumulation of pure numeric chains over disjoint
-   attributes, all in the same direction?  Then the skyline algorithms
-   (KLP75 divide & conquer, SFS presorting, the float point form) apply. *)
-let rec chain_dims = function
-  | Highest a -> Some ([ a ], true)
-  | Lowest a -> Some ([ a ], false)
-  | Dual p -> (
-    match chain_dims p with
-    | Some (attrs, maximize) -> Some (attrs, not maximize)
-    | None -> None)
+type dim = { attr : string; maximize : bool; null_best : bool }
+
+(* Is the term a Pareto accumulation of LOWEST/HIGHEST chains over
+   disjoint attributes?  Then each chain is one dimension with its own
+   direction, and the skyline algorithms (the float point form, SFS
+   presorting, KLP75 divide & conquer) apply. NULL is worst under LOWEST
+   and HIGHEST, so a dual, which reverses the whole order, makes it best
+   as it flips the direction. *)
+let rec skyline_dims = function
+  | Highest a -> Some [ { attr = a; maximize = true; null_best = false } ]
+  | Lowest a -> Some [ { attr = a; maximize = false; null_best = false } ]
+  | Dual p ->
+    Option.map
+      (List.map (fun d ->
+           { d with maximize = not d.maximize; null_best = not d.null_best }))
+      (skyline_dims p)
   | Pareto (p, q) -> (
-    match chain_dims p, chain_dims q with
-    | Some (a1, m1), Some (a2, m2) when m1 = m2 && Attr.disjoint a1 a2 ->
-      Some (a1 @ a2, m1)
+    match skyline_dims p, skyline_dims q with
+    | Some d1, Some d2
+      when Attr.disjoint (List.map (fun d -> d.attr) d1)
+             (List.map (fun d -> d.attr) d2) ->
+      Some (d1 @ d2)
     | _ -> None)
   | Pos _ | Neg _ | Pos_neg _ | Pos_pos _ | Explicit _ | Around _ | Between _
   | Score _ | Antichain _ | Prior _ | Rank _ | Inter _ | Dunion _ | Lsum _
   | Two_graphs _ ->
     None
+
+let same_direction = function
+  | { maximize; _ } :: _ as dims
+    when List.for_all (fun d -> d.maximize = maximize) dims ->
+    Some (List.map (fun d -> d.attr) dims, maximize)
+  | _ -> None
+
+let chain_dims p = Option.bind (skyline_dims p) same_direction

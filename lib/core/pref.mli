@@ -10,7 +10,9 @@
     smart constructors below, which validate the side conditions the paper
     imposes (disjoint value sets, acyclic EXPLICIT graphs, scorable rank
     operands, equal attribute sets for ♦ and +, single attributes and
-    disjoint domains for ⊕). *)
+    disjoint domains for ⊕). {!skyline_dims} is the one structural
+    analysis the BMO kernels read: which terms are skylines of
+    LOWEST/HIGHEST chains, and in which direction each chain runs. *)
 
 open Pref_relation
 
@@ -200,11 +202,32 @@ val compile : Schema.t -> t -> Tuple.t -> Tuple.t -> bool
 val compile_better : Schema.t -> t -> Tuple.t -> Tuple.t -> bool
 (** Compiled dominance test ([better]). *)
 
+(** {1 Skyline shape} *)
+
+type dim = {
+  attr : string;
+  maximize : bool;  (** larger values are better *)
+  null_best : bool;
+      (** NULL beats every value (under an odd number of duals); otherwise
+          every value beats NULL *)
+}
+(** One dimension of a skyline: a LOWEST or HIGHEST chain on [attr]. *)
+
+val skyline_dims : t -> dim list option
+(** [Some dims] when the term is a Pareto accumulation (Definition 8) of
+    LOWEST/HIGHEST chains over disjoint attributes, each with its own
+    direction; a dual flips the direction and the NULL position of every
+    dimension under it. This is the one structural analysis the float
+    point form of the BMO kernels, SFS presorting and the [KLP75] divide
+    & conquer read. AROUND and BETWEEN are not dimensions: Pareto equality
+    compares their values, not their distances, so two values at the same
+    distance are not tied. *)
+
+val same_direction : dim list -> (string list * bool) option
+(** [Some (attrs, maximize)] when every dimension runs in one direction. *)
+
 val chain_dims : t -> (string list * bool) option
-(** [Some (attrs, maximize)] when the term is a Pareto accumulation of
-    same-direction numeric chains over disjoint attributes — the pure
-    skyline shape the float point form of the BMO kernels and the [KLP75]
-    divide & conquer apply to. *)
+(** {!skyline_dims} when all directions agree: [Some (attrs, maximize)]. *)
 
 val value_key : Value.t -> string
 (** Injective key compatible with {!Value.equal}; exposed for hash-based set

@@ -189,28 +189,34 @@ let project_result resolve (q : Ast.query) rel =
 (* Semantic rewrites the executor consults when the cost model is on.   *)
 
 (* σ[P](σ_W(R)) = σ_W(σ[P](R)) when every WHERE conjunct keeps the
-   better side of one of P's chains (LOWEST a with a <= c or a < c,
-   HIGHEST a with a >= c or a > c): such a selection is closed under
-   domination — any tuple preferred to a surviving tuple also survives —
-   so the winnow commutes with it (Chomicki's semantic optimization of
-   preference queries). The executor uses it to serve a filtered query
-   from the cached winnow of the unfiltered relation. *)
+   better side of one of P's chains, each read in its own direction
+   (LOWEST a with a <= c or a < c, HIGHEST a with a >= c or a > c): such
+   a selection is closed under domination — any tuple preferred to a
+   surviving tuple is at least as good on that chain, so it also
+   survives — and the winnow commutes with it (Chomicki's semantic
+   optimization of preference queries). A chain under a dual ranks NULL
+   best, and NULL fails every comparison, so it never commutes. The
+   executor uses it to serve a filtered query from the cached winnow of
+   the unfiltered relation. *)
 let selection_commutes resolve p conjuncts =
-  match Pref_bmo.Planner.chain_dims p with
+  match Pref.skyline_dims p with
   | None -> false
-  | Some (attrs, maximize) -> (
+  | Some dims -> (
     conjuncts <> []
     &&
     try
       List.for_all
         (fun c ->
           match c with
-          | Ast.Cmp (a, op, _) ->
-            List.mem (resolve a) attrs
-            && (match op with
-               | Ast.Le | Ast.Lt -> not maximize
-               | Ast.Ge | Ast.Gt -> maximize
-               | Ast.Eq | Ast.Neq -> false)
+          | Ast.Cmp (a, op, _) -> (
+            let a = resolve a in
+            match List.find_opt (fun (d : Pref.dim) -> d.attr = a) dims with
+            | Some { maximize; null_best = false; _ } -> (
+              match op with
+              | Ast.Le | Ast.Lt -> not maximize
+              | Ast.Ge | Ast.Gt -> maximize
+              | Ast.Eq | Ast.Neq -> false)
+            | Some { null_best = true; _ } | None -> false)
           | _ -> false)
         conjuncts
     with _ -> false)

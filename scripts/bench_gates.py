@@ -17,6 +17,9 @@ Fails (exit 1) if any gated cell regresses:
 - b13_refine: every cell served from the cached seed (plan refine:seed)
   must be >= 2.0x its cold evaluation; hot-window and cold routes are
   reported but not gated.
+- b14_kernel: the flagship skyline's window pass on the float point form
+  must be >= 3.0x the row form, keep the same survivors and run the same
+  number of dominance tests (the projection is exact).
 
 Every failure prints the gate formula it tripped AND the failing cell's
 full BENCH_JSON record, so a red CI run is diagnosable from the log
@@ -108,6 +111,28 @@ def main():
                 + cell_record("b13_refine", label, cell)
             )
 
+    for label, cell in data.get("b14_kernel", {}).items():
+        s = cell.get("speedup", 0.0)
+        float_tests = cell.get("float", {}).get("tests")
+        row_tests = cell.get("row", {}).get("tests")
+        if s < 3.0:
+            failures.append(
+                f"b14 {label}: gate is speedup >= 3.0, got {s:.2f}x "
+                f"(speedup = row median_ms / float median_ms)\n"
+                + cell_record("b14_kernel", label, cell)
+            )
+        if cell.get("same_survivors") is not True:
+            failures.append(
+                f"b14 {label}: float and row form keep different survivors\n"
+                + cell_record("b14_kernel", label, cell)
+            )
+        if float_tests is None or float_tests != row_tests:
+            failures.append(
+                f"b14 {label}: gate is equal test counts, got float "
+                f"{float_tests} vs row {row_tests}\n"
+                + cell_record("b14_kernel", label, cell)
+            )
+
     out = []
     for msg in skipped:
         out.append(f"bench-gates: SKIP {msg}")
@@ -115,7 +140,7 @@ def main():
         out.append(f"bench-gates: FAIL {msg}")
     if not failures:
         out.append(
-            "bench-gates: OK (every gated b9/b10/b12/b13 cell within bounds)"
+            "bench-gates: OK (every gated b9/b10/b12/b13/b14 cell within bounds)"
         )
     text = "\n".join(out)
     print(text)

@@ -291,12 +291,16 @@ let kernel_shapes =
 
 (* The plan kinds that can evaluate [p]: every kind for every shape, except
    that the SFS and divide & conquer kinds need a chain skyline and the
-   cascade a prioritization headed by a chain. *)
+   cascade a prioritization headed by a chain. The kernels read the term's
+   own directions; the record fields only restate it, so a mixed-direction
+   chain runs them too. *)
 let kernel_plans p =
   let domains = 3 in
   [ Planner.Plan_naive; Plan_bnl; Plan_par_dnc { domains }; Plan_decompose ]
-  @ (match Pref.chain_dims p with
-    | Some (attrs, maximize) ->
+  @ (match Pref.skyline_dims p with
+    | Some dims ->
+      let attrs = List.map (fun (d : Pref.dim) -> d.attr) dims
+      and maximize = List.for_all (fun (d : Pref.dim) -> d.maximize) dims in
       [
         Planner.Plan_sfs { attrs; maximize };
         Plan_dnc { attrs; maximize };
@@ -393,6 +397,96 @@ let test_kernel_equivalence () =
          k < m && prefix_bmo k = Array.to_list cut)
        (List.init ((m / Bnl.deadline_stride) + 1) Fun.id))
 
+(* --- AROUND stays on the row form ------------------------------------- *)
+
+(* AROUND is not LOWEST over a distance column: Definition 8's Pareto
+   equality compares the values, so a=9 and a=11 (both at distance 1 from
+   10) are not tied and (11, 2) is not dominated by (9, 1). A distance
+   projection would tie them and drop (11, 2). *)
+let test_around_row_form () =
+  let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ] in
+  let row a b = Tuple.make [ Value.Int a; Value.Int b ] in
+  let rel = Relation.make schema [ row 9 1; row 11 2 ] in
+  let p = Pref.pareto (Pref.around "a" 10.) (Pref.lowest "b") in
+  check "AROUND is not a float-form dimension" true
+    (Dominance.float_chain schema p = None);
+  let expected = sorted_rows (Naive.query schema p rel) in
+  check "naive keeps both rows" true (expected = [ row 9 1; row 11 2 ]);
+  List.iter
+    (fun plan ->
+      check (Planner.plan_kind plan) true
+        (sorted_rows (Planner.execute schema p rel plan) = expected))
+    (kernel_plans p)
+
+(* --- Mixed-direction chains on the float form ------------------------ *)
+
+let chain_attrs = [ "i"; "j"; "f"; "t" ]
+
+let chain_schema =
+  Schema.make
+    [
+      ("i", Value.TInt); ("j", Value.TInt); ("f", Value.TFloat);
+      ("t", Value.TDate);
+    ]
+
+(* tiny domains so that ties and NULLs are common; 0 is NULL *)
+let chain_value attr k =
+  if k = 0 then Value.Null
+  else
+    match attr with
+    | "i" | "j" -> Value.Int k
+    | "f" -> Value.Float (float_of_int k /. 2.)
+    | _ -> Value.date ~year:2002 ~month:1 ~day:k
+
+(* 2-4 chains over distinct columns, each LOWEST or HIGHEST, either one
+   possibly under a dual, and the whole possibly dualised *)
+let arb_chain_rows =
+  let open QCheck.Gen in
+  let dim a =
+    oneofl
+      [
+        Pref.lowest a; Pref.highest a; Pref.dual (Pref.lowest a);
+        Pref.dual (Pref.highest a);
+      ]
+  in
+  let chain =
+    shuffle_l chain_attrs >>= fun attrs ->
+    int_range 2 4 >>= fun d ->
+    flatten_l (List.map dim (List.filteri (fun k _ -> k < d) attrs))
+    >>= fun dims ->
+    map
+      (fun dual ->
+        let p = Pref.pareto_all dims in
+        if dual then Pref.dual p else p)
+      bool
+  in
+  let row =
+    map
+      (fun ks -> Tuple.make (List.map2 chain_value chain_attrs ks))
+      (list_repeat 4 (int_range 0 4))
+  in
+  QCheck.make
+    ~print:(fun (p, rows) ->
+      Fmt.str "%a@ %a" Show.pp p (Fmt.Dump.list Tuple.pp) rows)
+    (pair chain (list_size (int_range 0 40) row))
+
+let prop_mixed_chains =
+  QCheck.Test.make ~count
+    ~name:"float-form BNL = naive on mixed chains, as many tests as rows"
+    arb_chain_rows (fun (p, rows) ->
+      let rel = Relation.make chain_schema rows in
+      let result, o = Planner.evaluate chain_schema p rel Planner.Plan_bnl in
+      let arr = Array.of_list rows in
+      let row_idx, row_run =
+        Bnl.window (Dominance.of_pref chain_schema p) (Array.length arr)
+          (Array.get arr)
+      in
+      Dominance.float_chain chain_schema p <> None
+      && sorted_rows result = sorted_rows (Naive.query chain_schema p rel)
+      && Relation.rows result
+         = Array.to_list (Array.map (Array.get arr) row_idx)
+      && o.Planner.o_tests = row_run.Bnl.tests)
+
 let suite =
   [
     Gen.quick "example 8: BMO and perfect match" test_example8;
@@ -416,4 +510,6 @@ let suite =
   @ [
       Gen.quick "SFS ranks NULL last under LOWEST" test_sfs_null_lowest;
       Gen.quick "every plan kind = naive, one window" test_kernel_equivalence;
+      Gen.quick "AROUND stays on the row form" test_around_row_form;
     ]
+  @ Gen.qsuite [ prop_mixed_chains ]

@@ -364,11 +364,31 @@ let test_selection_commute_serve () =
       "SELECT * FROM items WHERE price >= 50 PREFERRING LOWEST(price)"
   in
   check_int "winnow re-evaluated" 1 (Relation.cardinality r'.Exec.relation);
-  match r'.Exec.profile with
+  (match r'.Exec.profile with
   | Some prof ->
     check "not served from cache" true
       (prof.Pref_obs.Profile.algorithm <> "cache-commute")
-  | None -> Alcotest.fail "no profile"
+  | None -> Alcotest.fail "no profile");
+  (* a mixed-direction chain: each conjunct keeps the better side of its
+     own dimension, or the selection does not commute *)
+  let skyline = " PREFERRING LOWEST(price) AND HIGHEST(mileage)" in
+  ignore (Exec.run_cfg cfg env ("SELECT * FROM items" ^ skyline));
+  let served where =
+    let sql = "SELECT * FROM items WHERE " ^ where ^ skyline in
+    let r = Exec.run_cfg cfg env sql in
+    let cold =
+      Exec.run_cfg { cfg with Pref_bmo.Engine.cache = false } env sql
+    in
+    check (where ^ ": same answer as a cold run") true
+      (Relation.equal_as_sets r.Exec.relation cold.Exec.relation);
+    match r.Exec.profile with
+    | Some prof -> prof.Pref_obs.Profile.algorithm = "cache-commute"
+    | None -> Alcotest.fail "no profile"
+  in
+  check "mixed chain, better sides commute" true
+    (served "price <= 50 AND mileage > 10");
+  check "mixed chain, the worse side of HIGHEST does not commute" false
+    (served "price <= 50 AND mileage <= 50")
 
 let test_join_pushdown () =
   with_fresh_model @@ fun () ->

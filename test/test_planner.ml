@@ -26,7 +26,25 @@ let test_chain_dims () =
   check "non-chain member" true
     (Planner.chain_dims (Pref.pareto (Pref.lowest "a") (Pref.around "b" 1.)) = None);
   check "shared attribute" true
-    (Planner.chain_dims (Pref.pareto (Pref.lowest "a") (Pref.lowest "a")) = None)
+    (Planner.chain_dims (Pref.pareto (Pref.lowest "a") (Pref.lowest "a")) = None);
+  (* the per-dimension analysis keeps every chain's own direction *)
+  let dim attr maximize null_best = { Pref.attr; maximize; null_best } in
+  check "mixed directions, one per dimension" true
+    (Pref.skyline_dims
+       (Pref.pareto_all
+          [ Pref.lowest "a"; Pref.lowest "b"; Pref.highest "c" ])
+    = Some [ dim "a" false false; dim "b" false false; dim "c" true false ]);
+  (* a dual reverses the whole order: every direction and NULL's rank *)
+  check "dual flips direction and NULL rank" true
+    (Pref.skyline_dims
+       (Pref.dual (Pref.pareto (Pref.lowest "a") (Pref.highest "b")))
+    = Some [ dim "a" true true; dim "b" false true ]);
+  check "AROUND is not a dimension" true
+    (Pref.skyline_dims (Pref.pareto (Pref.lowest "a") (Pref.around "b" 1.))
+    = None);
+  check "shared attribute, mixed" true
+    (Pref.skyline_dims (Pref.pareto (Pref.lowest "a") (Pref.highest "a"))
+    = None)
 
 let test_correlation_estimate () =
   let anti =
@@ -37,16 +55,25 @@ let test_correlation_estimate () =
     Pref_workload.Synthetic.relation ~seed:3 ~n:2000 ~dims:2
       Pref_workload.Synthetic.Correlated
   in
-  let r_anti =
-    Planner.sampled_correlation
-      (Relation.schema anti) [ "d0"; "d1" ] (Relation.rows anti)
+  let r rel p =
+    Planner.sampled_correlation (Relation.schema rel)
+      (Option.get (Pref.skyline_dims p))
+      (Relation.rows rel)
   in
-  let r_corr =
-    Planner.sampled_correlation
-      (Relation.schema corr) [ "d0"; "d1" ] (Relation.rows corr)
-  in
-  check "anti-correlation detected" true (r_anti < -0.3);
-  check "correlation detected" true (r_corr > 0.3)
+  let both_highest = Pref.pareto (Pref.highest "d0") (Pref.highest "d1") in
+  let mixed = Pref.pareto (Pref.lowest "d0") (Pref.highest "d1") in
+  check "anti-correlation detected" true (r anti both_highest < -0.3);
+  check "correlation detected" true (r corr both_highest > 0.3);
+  check "same direction keeps the raw correlation" true
+    (Float.abs
+       (r corr (Pref.pareto (Pref.lowest "d0") (Pref.lowest "d1"))
+       -. r corr both_highest)
+    < 1e-9);
+  (* positively correlated columns trade off under LOWEST d0, HIGHEST d1 *)
+  check "mixed chain over correlated columns is anti-correlated" true
+    (r corr mixed < 0.);
+  check "mixed chain over anti-correlated columns is correlated" true
+    (r anti mixed > 0.3)
 
 let test_plan_choice () =
   let small =
